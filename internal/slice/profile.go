@@ -20,6 +20,10 @@ import (
 // no references into published results.
 var trackerPool = sync.Pool{New: func() any { return new(trace.Tracker) }}
 
+// slicerPool recycles Slicers the same way, so the heap, slot-mark and
+// result buffers Backward grows in one profile carry over to the next.
+var slicerPool = sync.Pool{New: func() any { return new(Slicer) }}
+
 // ProfileOptions configures a functional profiling run.
 type ProfileOptions struct {
 	// WarmInsts executes this many instructions first with cache training
@@ -96,7 +100,9 @@ func ProfileContext(ctx context.Context, p *program.Program, opts ProfileOptions
 	tr := trackerPool.Get().(*trace.Tracker)
 	tr.Reset(opts.Scope)
 	defer trackerPool.Put(tr)
-	sl := &Slicer{MaxLen: opts.MaxSlice}
+	sl := slicerPool.Get().(*Slicer)
+	sl.MaxLen = opts.MaxSlice
+	defer slicerPool.Put(sl)
 
 	if opts.Sampling == nil {
 		// Warm-up: train the caches without recording anything.
