@@ -16,16 +16,17 @@ import (
 	"preexec/internal/lint/analysis"
 )
 
-// AllocBudget turns the PR 2 zero-alloc property of the timing hot path into
-// a CI-failing static gate: it drives the compiler's escape analysis
-// (`go build -gcflags='-m -m'`) over the budgeted package and diffs the
-// heap-escape diagnostics attributed to the hot-path functions against the
-// checked-in budget (internal/lint/testdata/allocbudget.json). A new escape
-// in a hot function fails immediately — before any benchmark runs — instead
-// of surfacing later as allocs/op drift in benchsnap. Amortized allocations
-// the hot path legitimately performs (arena chunk growth, ring doubling) are
-// recorded in the budget; `preexeclint -update-allocbudget` regenerates the
-// recorded escapes after an intentional change.
+// AllocBudget turns the zero-alloc property of the simulator and profiler
+// hot paths into a CI-failing static gate: it drives the compiler's escape
+// analysis (`go build -gcflags='-m -m'`) over each budgeted package and diffs
+// the heap-escape diagnostics attributed to that package's hot functions
+// against the checked-in budget (internal/lint/testdata/allocbudget.json). A
+// new escape in a hot function fails immediately — before any benchmark runs
+// — instead of surfacing later as allocs/op drift in benchsnap. Amortized
+// allocations the hot paths legitimately perform (arena chunk growth, ring
+// doubling, scratch-buffer growth) are recorded in the budget;
+// `preexeclint -update-allocbudget` regenerates the recorded escapes after
+// an intentional change.
 //
 // Attribution uses the package's ASTs: each diagnostic's (file, line) is
 // mapped to its innermost enclosing function declaration, so inlined
@@ -34,7 +35,7 @@ import (
 var AllocBudget = &analysis.Analyzer{
 	Name: "allocbudget", // keep in sync with the Category literals below
 
-	Doc: "diffs compiler escape-analysis diagnostics for the timing hot path " +
+	Doc: "diffs compiler escape-analysis diagnostics for the timing and profiler hot paths " +
 		"against the checked-in budget, failing on any new heap escape in a " +
 		"hot function",
 	RunModule: runAllocBudget,
@@ -43,13 +44,19 @@ var AllocBudget = &analysis.Analyzer{
 // AllocBudgetPath locates the budget file relative to the module root.
 const AllocBudgetPath = "internal/lint/testdata/allocbudget.json"
 
-// Budget is the checked-in allocation budget.
+// BudgetFile is the checked-in allocation budget: one entry per gated
+// package.
+type BudgetFile struct {
+	// Gcflags documents the escape-analysis invocation the budget was
+	// generated with (informational).
+	Gcflags  string    `json:"gcflags"`
+	Packages []*Budget `json:"packages"`
+}
+
+// Budget is one package's allocation budget.
 type Budget struct {
 	// Package is the budgeted import path.
 	Package string `json:"package"`
-	// Gcflags documents the escape-analysis invocation the budget was
-	// generated with (informational).
-	Gcflags string `json:"gcflags"`
 	// Hot lists the hot-path functions the gate covers, named as
 	// (*types.Func).FullName with the package path stripped — e.g.
 	// "(*Sim).fetch", "busWait".
@@ -60,19 +67,40 @@ type Budget struct {
 }
 
 // LoadBudget reads the budget file.
-func LoadBudget(path string) (*Budget, error) {
+func LoadBudget(path string) (*BudgetFile, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	var b Budget
-	if err := json.Unmarshal(raw, &b); err != nil {
+	var f BudgetFile
+	if err := json.Unmarshal(raw, &f); err != nil {
 		return nil, fmt.Errorf("parsing %s: %v", path, err)
 	}
-	if b.Allowed == nil {
-		b.Allowed = map[string][]string{}
+	for _, b := range f.Packages {
+		if b.Allowed == nil {
+			b.Allowed = map[string][]string{}
+		}
 	}
-	return &b, nil
+	return &f, nil
+}
+
+// Package returns the budget entry for an import path, or nil.
+func (f *BudgetFile) Package(path string) *Budget {
+	for _, b := range f.Packages {
+		if b.Package == path {
+			return b
+		}
+	}
+	return nil
+}
+
+// Write stores the budget file at path.
+func (f *BudgetFile) Write(path string) error {
+	out, err := json.MarshalIndent(f, "", "  ")
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, append(out, '\n'), 0o644)
 }
 
 // Escape is one heap-escape diagnostic attributed to a function.
@@ -236,7 +264,7 @@ func CheckBudget(b *Budget, escapes []Escape, lookupPos func(file string, line i
 				Pos:      pos(e.File, e.Line),
 				Category: "allocbudget",
 				Message: fmt.Sprintf("heap escape in hot function %s: %s — over the allocation budget; "+
-					"the timing hot path must stay allocation-free (remove it, or run `preexeclint -update-allocbudget` and justify the new entry in review)", e.Func, e.Message),
+					"hot paths must stay allocation-free (remove it, or run `preexeclint -update-allocbudget` and justify the new entry in review)", e.Func, e.Message),
 			})
 		}
 	}
@@ -300,9 +328,9 @@ func missingFrom(want, have []string) []string {
 	return missing
 }
 
-// UpdateBudget recomputes the Allowed map for b's hot list from escapes,
-// preserving the hot list itself, and writes the result to path.
-func UpdateBudget(path string, b *Budget, escapes []Escape) error {
+// UpdateBudget recomputes b's Allowed map from escapes, preserving the hot
+// list itself.
+func UpdateBudget(b *Budget, escapes []Escape) {
 	hot := map[string]bool{}
 	for _, h := range b.Hot {
 		hot[h] = true
@@ -317,11 +345,6 @@ func UpdateBudget(path string, b *Budget, escapes []Escape) error {
 		sort.Strings(msgs)
 	}
 	b.Allowed = allowed
-	out, err := json.MarshalIndent(b, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(out, '\n'), 0o644)
 }
 
 // ModuleRoot walks up from dir to the directory containing go.mod.
@@ -343,41 +366,35 @@ func ModuleRoot(dir string) (string, error) {
 }
 
 func runAllocBudget(pass *analysis.ModulePass) (any, error) {
-	var unit *analysis.PackageUnit
-	for _, u := range pass.Packages {
-		if u.Path == "preexec/internal/timing" {
-			unit = u
-			break
-		}
-	}
-	if unit == nil {
-		// The budgeted package is not among the analyzed patterns; nothing
-		// to gate.
+	if len(pass.Packages) == 0 {
 		return nil, nil
 	}
-	root, err := ModuleRoot(unit.Dir)
+	root, err := ModuleRoot(pass.Packages[0].Dir)
 	if err != nil {
 		return nil, err
 	}
-	budget, err := LoadBudget(filepath.Join(root, AllocBudgetPath))
+	file, err := LoadBudget(filepath.Join(root, AllocBudgetPath))
 	if err != nil {
 		return nil, fmt.Errorf("allocbudget: %v (regenerate with `preexeclint -update-allocbudget`)", err)
 	}
-	if budget.Package != unit.Path {
-		return nil, fmt.Errorf("allocbudget: budget covers %q but the loaded package is %q", budget.Package, unit.Path)
-	}
-	escapes, err := CollectEscapes(unit.Dir, pass.Fset, unit.Files)
-	if err != nil {
-		return nil, err
-	}
-	lookup := posLookup(pass.Fset, unit.Files)
-	for _, d := range CheckBudget(budget, escapes, lookup) {
-		if d.Pos == token.NoPos {
-			// Anchor position-less findings (stale entries) on the package's
-			// first file so drivers can render file:line.
-			d.Pos = unit.Files[0].Pos()
+	for _, unit := range pass.Packages {
+		budget := file.Package(unit.Path)
+		if budget == nil {
+			continue // not budgeted
 		}
-		pass.Report(d)
+		escapes, err := CollectEscapes(unit.Dir, pass.Fset, unit.Files)
+		if err != nil {
+			return nil, err
+		}
+		lookup := posLookup(pass.Fset, unit.Files)
+		for _, d := range CheckBudget(budget, escapes, lookup) {
+			if d.Pos == token.NoPos {
+				// Anchor position-less findings (stale entries) on the
+				// package's first file so drivers can render file:line.
+				d.Pos = unit.Files[0].Pos()
+			}
+			pass.Report(d)
+		}
 	}
 	return nil, nil
 }

@@ -81,56 +81,71 @@ func TestCheckBudgetStale(t *testing.T) {
 	}
 }
 
-// TestAllocBudgetTimingPackage is the integration half: it runs the real
-// escape-analysis collection over internal/timing and checks both that the
-// known amortized allocations are attributed to the right hot functions and
-// that the checked-in budget is exactly in sync with the code — the same
-// check CI's allocbudget analyzer performs.
-func TestAllocBudgetTimingPackage(t *testing.T) {
+// checkPackageBudget is the integration half: it runs the real
+// escape-analysis collection over one budgeted package, requires the given
+// amortized allocation to be attributed to its hot function, and checks that
+// the checked-in budget is exactly in sync with the code — the same check
+// CI's allocbudget analyzer performs.
+func checkPackageBudget(t *testing.T, path, fn, msg string) {
+	t.Helper()
 	root, err := lint.ModuleRoot(".")
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkgs, fset, err := load.Module(root, "./internal/timing")
+	pkgs, fset, err := load.Module(root, path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var pkg *load.Package
 	for _, p := range pkgs {
-		if p.Path == "preexec/internal/timing" {
+		if p.Path == path {
 			pkg = p
 		}
 	}
 	if pkg == nil {
-		t.Fatal("internal/timing not loaded")
+		t.Fatalf("%s not loaded", path)
 	}
 
 	escapes, err := lint.CollectEscapes(pkg.Dir, fset, pkg.Files)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The uop arena's chunk growth is the canonical amortized allocation:
-	// it must be present and attributed to (*uopArena).get.
 	found := false
 	for _, e := range escapes {
-		if e.Func == "(*uopArena).get" && e.Message == "make([]uop, 256) escapes to heap" {
+		if e.Func == fn && e.Message == msg {
 			found = true
 		}
 	}
 	if !found {
-		t.Fatalf("arena chunk allocation not attributed to (*uopArena).get; escapes: %+v", escapes)
+		t.Fatalf("%q not attributed to %s; escapes: %+v", msg, fn, escapes)
 	}
 
-	budget, err := lint.LoadBudget(filepath.Join(root, lint.AllocBudgetPath))
+	file, err := lint.LoadBudget(filepath.Join(root, lint.AllocBudgetPath))
 	if err != nil {
 		t.Fatal(err)
+	}
+	budget := file.Package(path)
+	if budget == nil {
+		t.Fatalf("no budget entry for %s", path)
 	}
 	if diags := lint.CheckBudget(budget, escapes, nil); len(diags) != 0 {
 		msgs := make([]string, len(diags))
 		for i, d := range diags {
 			msgs[i] = d.Message
 		}
-		t.Fatalf("checked-in budget out of sync with internal/timing:\n%s\n(run `preexeclint -update-allocbudget` after an intentional change)",
-			strings.Join(msgs, "\n"))
+		t.Fatalf("checked-in budget out of sync with %s:\n%s\n(run `preexeclint -update-allocbudget` after an intentional change)",
+			path, strings.Join(msgs, "\n"))
 	}
+}
+
+// TestAllocBudgetTimingPackage gates the simulator: the uop arena's chunk
+// growth is the canonical amortized allocation.
+func TestAllocBudgetTimingPackage(t *testing.T) {
+	checkPackageBudget(t, "preexec/internal/timing", "(*uopArena).get", "make([]uop, 256) escapes to heap")
+}
+
+// TestAllocBudgetSlicePackage gates the profiler: the Slicer's slot-mark
+// table grows only when a tracker with a larger scope is first seen.
+func TestAllocBudgetSlicePackage(t *testing.T) {
+	checkPackageBudget(t, "preexec/internal/slice", "(*Slicer).begin", "make([]slotMark, size) escapes to heap")
 }
