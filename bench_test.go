@@ -157,6 +157,39 @@ func BenchmarkSimVortex(b *testing.B) { benchSim(b, "vortex") }
 func BenchmarkSimVprP(b *testing.B)   { benchSim(b, "vpr.p") }
 func BenchmarkSimVprR(b *testing.B)   { benchSim(b, "vpr.r") }
 
+// benchProfile measures one functional profile (tracker, cache hierarchy,
+// one backward slice per L2 miss, slice-tree construction) at the engine's
+// default 30k warm-up / 120k measured window, so the profile stage is
+// observable per workload. cmd/benchsnap mirrors these into
+// BENCH_baseline.json next to the BenchmarkSim* entries.
+func benchProfile(b *testing.B, name string) {
+	b.Helper()
+	w, err := workload.ByName(name)
+	if err != nil {
+		b.Fatal(err)
+	}
+	p := w.Build(1)
+	opts := slice.ProfileOptions{WarmInsts: 30_000, MaxInsts: 120_000}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := slice.ProfileContext(context.Background(), p, opts); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkProfileBzip2(b *testing.B)  { benchProfile(b, "bzip2") }
+func BenchmarkProfileCrafty(b *testing.B) { benchProfile(b, "crafty") }
+func BenchmarkProfileGap(b *testing.B)    { benchProfile(b, "gap") }
+func BenchmarkProfileGcc(b *testing.B)    { benchProfile(b, "gcc") }
+func BenchmarkProfileMcf(b *testing.B)    { benchProfile(b, "mcf") }
+func BenchmarkProfileParser(b *testing.B) { benchProfile(b, "parser") }
+func BenchmarkProfileTwolf(b *testing.B)  { benchProfile(b, "twolf") }
+func BenchmarkProfileVortex(b *testing.B) { benchProfile(b, "vortex") }
+func BenchmarkProfileVprP(b *testing.B)   { benchProfile(b, "vpr.p") }
+func BenchmarkProfileVprR(b *testing.B)   { benchProfile(b, "vpr.r") }
+
 // BenchmarkSimVprPPreexec exercises the pre-execution paths of the hot loop
 // (launch, burst injection, p-thread memory traffic) that the base-mode
 // BenchmarkSim* benchmarks never reach.

@@ -1,6 +1,8 @@
 // Command benchsnap snapshots the simulator micro-benchmarks
 // (BenchmarkSim<workload>: one bare timing.Run of 50k instructions each,
-// mirroring the root bench_test.go targets), the sweep-memoization pair
+// mirroring the root bench_test.go targets), the profiler micro-benchmarks
+// (BenchmarkProfile<workload>: one slice.ProfileContext at the 30k warm-up / 120k
+// measured window), the sweep-memoization pair
 // (BenchmarkSweepCached/BenchmarkSweepUncached: the same selection grid with
 // and without the stage cache), the trace-replay benchmarks
 // (BenchmarkRecordTraceVprP/BenchmarkReplayVprP bracket one cell's record
@@ -73,6 +75,25 @@ func simBench(name string) (func(b *testing.B), error) {
 	return func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := timing.Run(p, nil, cfg); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}, nil
+}
+
+// profileBench returns the closure benchmarking one functional profile,
+// identical in shape to the root package's BenchmarkProfile<workload>
+// targets.
+func profileBench(name string) (func(b *testing.B), error) {
+	w, err := workload.ByName(name)
+	if err != nil {
+		return nil, err
+	}
+	p := w.Build(1)
+	opts := slice.ProfileOptions{WarmInsts: 30_000, MaxInsts: 120_000}
+	return func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := slice.ProfileContext(context.Background(), p, opts); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -260,9 +281,9 @@ func obsDisabledBench() func(b *testing.B) {
 	}
 }
 
-// benchName converts a workload name to its benchmark identifier
-// (vpr.p -> BenchmarkSimVprP).
-func benchName(w string) string {
+// benchName converts a workload name to its benchmark identifier under the
+// given family (Sim, vpr.p -> BenchmarkSimVprP).
+func benchName(family, w string) string {
 	out := []rune{}
 	up := true
 	for _, r := range w {
@@ -278,20 +299,29 @@ func benchName(w string) string {
 		}
 		out = append(out, r)
 	}
-	return "BenchmarkSim" + string(out)
+	return "Benchmark" + family + string(out)
 }
 
 func measure() (map[string]Result, error) {
 	out := make(map[string]Result)
-	for _, name := range workload.Names() {
-		fn, err := simBench(name)
-		if err != nil {
-			return nil, err
+	for _, fam := range []struct {
+		name string
+		mk   func(string) (func(b *testing.B), error)
+	}{
+		{"Sim", simBench},
+		{"Profile", profileBench},
+	} {
+		for _, name := range workload.Names() {
+			fn, err := fam.mk(name)
+			if err != nil {
+				return nil, err
+			}
+			r := testing.Benchmark(fn)
+			bn := benchName(fam.name, name)
+			out[bn] = Result{NsOp: float64(r.NsPerOp()), BOp: r.AllocedBytesPerOp(), AllocsOp: r.AllocsPerOp()}
+			fmt.Fprintf(os.Stderr, "%-28s %12.0f ns/op %10d B/op %8d allocs/op\n",
+				bn, float64(r.NsPerOp()), r.AllocedBytesPerOp(), r.AllocsPerOp())
 		}
-		r := testing.Benchmark(fn)
-		out[benchName(name)] = Result{NsOp: float64(r.NsPerOp()), BOp: r.AllocedBytesPerOp(), AllocsOp: r.AllocsPerOp()}
-		fmt.Fprintf(os.Stderr, "%-28s %12.0f ns/op %10d B/op %8d allocs/op\n",
-			benchName(name), float64(r.NsPerOp()), r.AllocedBytesPerOp(), r.AllocsPerOp())
 	}
 	fn, err := preexecBench()
 	if err != nil {
