@@ -8,7 +8,7 @@
 //
 // and print the actual rows with cmd/texp. The windows here are slightly
 // smaller than texp's defaults so a full -bench=. sweep stays in the
-// minutes range; EXPERIMENTS.md records full-size runs.
+// minutes range; run texp for full-size rows.
 package preexec_test
 
 import (

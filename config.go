@@ -1,7 +1,8 @@
 package preexec
 
 import (
-	"preexec/internal/core"
+	"preexec/internal/advantage"
+	"preexec/internal/timing"
 )
 
 // MachineConfig describes the simulated machine and the run sizing shared by
@@ -19,9 +20,7 @@ type MachineConfig struct {
 }
 
 // DefaultMachine returns the paper's base machine configuration.
-func DefaultMachine() MachineConfig {
-	return MachineConfig{Width: 8, MemLat: 70, WarmInsts: 30_000, MeasureInsts: 120_000}
-}
+func DefaultMachine() MachineConfig { return Config{}.Normalized().Machine }
 
 // SelectionConfig describes the p-thread construction and selection
 // parameters (paper §3-§4.1). Zero values select the paper's defaults
@@ -55,11 +54,12 @@ type SelectionConfig struct {
 // DefaultSelection returns the paper's base selection parameters: scope
 // 1024, length 32, optimization and merging on.
 func DefaultSelection() SelectionConfig {
-	return SelectionConfig{Scope: 1024, MaxLen: 32, Optimize: true, Merge: true}
+	n := Config{}.Normalized().Selection
+	return SelectionConfig{Scope: n.Scope, MaxLen: n.MaxLen, Optimize: true, Merge: true}
 }
 
 // AblationConfig holds the reproduction's model-refinement switches (see the
-// "ablate" experiment and DESIGN.md). The zero value is the refined model.
+// "ablate" experiment). The zero value is the refined model.
 type AblationConfig struct {
 	// ModelLoadLat overrides the latency the SCDH model charges in-slice
 	// loads (0 = the default L2 hit latency; 1 = the paper's raw
@@ -92,44 +92,83 @@ func DefaultConfig() Config {
 // MaxLen, RegionInsts) plus the profiled program name a profile, mirroring
 // the StageCache key structure.
 func (c Config) Normalized() Config {
-	n := c.core().WithDefaults()
-	c.Machine = MachineConfig{
-		Width:        n.Width,
-		MemLat:       n.MemLat,
-		WarmInsts:    n.WarmInsts,
-		MeasureInsts: n.MeasureInsts,
+	m, s := &c.Machine, &c.Selection
+	if m.Width == 0 {
+		m.Width = 8
 	}
-	c.Selection.Scope = n.Scope
-	c.Selection.MaxLen = n.MaxLen
-	c.Selection.ProfileInsts = n.SelectInsts
-	c.Selection.MemLat = n.SelectMemLat
-	c.Selection.Width = n.SelectWidth
+	if m.MemLat == 0 {
+		m.MemLat = 70
+	}
+	if m.WarmInsts == 0 {
+		m.WarmInsts = 30_000
+	}
+	if m.MeasureInsts == 0 {
+		m.MeasureInsts = 120_000
+	}
+	if s.Scope == 0 {
+		s.Scope = 1024
+	}
+	if s.MaxLen == 0 {
+		s.MaxLen = 32
+	}
+	if s.ProfileInsts == 0 {
+		s.ProfileInsts = m.MeasureInsts
+	}
+	if s.MemLat == 0 {
+		s.MemLat = m.MemLat
+	}
+	if s.Width == 0 {
+		s.Width = m.Width
+	}
 	// Optimize, Merge, RegionInsts, ProfileOn, and the ablation switches
 	// have no zero-value rewriting; they pass through unchanged.
 	return c
 }
 
-// core flattens the decomposed configuration onto the internal/core
-// compatibility surface. Zero fields stay zero: core applies the same
-// defaults, keeping Engine results bit-for-bit identical to the legacy path.
-func (c Config) core() core.Config {
-	return core.Config{
-		WarmInsts:    c.Machine.WarmInsts,
-		MeasureInsts: c.Machine.MeasureInsts,
-		Width:        c.Machine.Width,
-		MemLat:       c.Machine.MemLat,
+// The helpers below map a normalized configuration onto the inputs of each
+// pipeline stage. Every entry point (and StageKeys) derives stage inputs
+// through them, so the mapping is written once.
 
-		Scope:        c.Selection.Scope,
-		MaxLen:       c.Selection.MaxLen,
-		Optimize:     c.Selection.Optimize,
-		Merge:        c.Selection.Merge,
-		RegionInsts:  c.Selection.RegionInsts,
-		SelectOn:     c.Selection.ProfileOn,
-		SelectInsts:  c.Selection.ProfileInsts,
-		SelectMemLat: c.Selection.MemLat,
-		SelectWidth:  c.Selection.Width,
+// timingConfig builds the simulator configuration for the given mode.
+func (c Config) timingConfig(mode Mode) TimingConfig {
+	tc := timing.DefaultConfig()
+	tc.Width = c.Machine.Width
+	tc.MemLat = c.Machine.MemLat
+	tc.WarmInsts = c.Machine.WarmInsts
+	tc.MaxInsts = c.Machine.MeasureInsts
+	tc.Mode = mode
+	tc.NoRSThrottle = c.Ablation.NoRSThrottle
+	return tc
+}
 
-		ModelLoadLat: c.Ablation.ModelLoadLat,
-		NoRSThrottle: c.Ablation.NoRSThrottle,
+// profileOptions builds the selection profile's options.
+func (c Config) profileOptions() ProfileOptions {
+	return ProfileOptions{
+		WarmInsts:   c.Machine.WarmInsts,
+		MaxInsts:    c.Selection.ProfileInsts,
+		Scope:       c.Selection.Scope,
+		MaxSlice:    c.Selection.MaxLen,
+		RegionInsts: c.Selection.RegionInsts,
+	}
+}
+
+// selectorOptions builds the selection options — the aggregate-advantage
+// parameters and the merging switch — for the given unassisted main-thread
+// IPC.
+func (c Config) selectorOptions(baseIPC float64) SelectorOptions {
+	loadLat := c.Ablation.ModelLoadLat
+	if loadLat <= 0 {
+		loadLat = 6 // in-slice loads hit the L2 at best (see advantage.Params)
+	}
+	return SelectorOptions{
+		Params: advantage.Params{
+			BWSeq:    float64(c.Selection.Width),
+			IPC:      baseIPC,
+			MemLat:   float64(c.Selection.MemLat),
+			MaxLen:   c.Selection.MaxLen,
+			Optimize: c.Selection.Optimize,
+			LoadLat:  loadLat,
+		},
+		Merge: c.Selection.Merge,
 	}
 }

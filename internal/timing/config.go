@@ -11,8 +11,7 @@
 // feeds fetch); branch mispredictions stall fetch until the branch resolves
 // plus a redirect penalty. Wrong-path instructions and wrong-path p-thread
 // launches are not simulated — the one deliberate divergence from the paper,
-// whose own selection model also ignores wrong-path triggers (§4.3); see
-// DESIGN.md.
+// whose own selection model also ignores wrong-path triggers (§4.3).
 //
 // Performance invariant: the hot path (sim.go) is heavily optimized — uop
 // arena, event-driven issue scheduling, idle-cycle fast-forward — but

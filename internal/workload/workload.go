@@ -2,10 +2,10 @@
 // stand in for the paper's ten SPEC2000int benchmark/input combinations
 // (bzip2, crafty, gap, gcc, mcf, parser, twolf, vortex, vpr.p, vpr.r).
 //
-// SPEC binaries and inputs are not available to this reproduction (see
-// DESIGN.md's substitution table), so each kernel is engineered to exhibit
-// the *memory-behaviour signature* the paper reports for its namesake —
-// the properties the selection framework actually responds to:
+// SPEC binaries and inputs are not available to this reproduction, so each
+// kernel is engineered to exhibit the *memory-behaviour signature* the paper
+// reports for its namesake — the properties the selection framework actually
+// responds to:
 //
 //   - mcf: dependent pointer chasing; miss feeds the next miss's address, so
 //     p-threads cannot out-run the main thread → low coverage (paper: 10%).
