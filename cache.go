@@ -408,22 +408,36 @@ func (s *stageMap[K, V]) getOrCompute(ctx context.Context, key K, compute func()
 		}
 		s.mu.Unlock()
 		s.runs.Add(1)
-
-		v, err := compute()
-		if err != nil {
-			// Failures are not memoized: drop the entry so later requests
-			// recompute, then release the waiters that coalesced onto this
-			// flight. The failure is returned only to the caller whose
-			// compute it was.
-			s.mu.Lock()
-			s.drop(e)
-			s.mu.Unlock()
-			e.failed = true
-			close(e.done)
-			return zero, err
-		}
-		e.val = v
-		close(e.done)
-		return v, nil
+		return s.fly(e, compute)
 	}
+}
+
+// fly runs compute as e's flight and lands it: on success the value is
+// published to the waiters. Failures are not memoized: on an error or a
+// panic the entry is dropped so later requests recompute, and the waiters
+// that coalesced onto the flight are released to retry. The failure (or the
+// panic) goes only to the caller whose compute it was. A panicking compute
+// must land too: the serve handlers recover panics and keep serving, so a
+// flight left open would block its key for the life of the process.
+func (s *stageMap[K, V]) fly(e *stageEntry[K, V], compute func() (V, error)) (V, error) {
+	landed := false
+	defer func() {
+		if landed {
+			return
+		}
+		s.mu.Lock()
+		s.drop(e)
+		s.mu.Unlock()
+		e.failed = true
+		close(e.done)
+	}()
+	v, err := compute()
+	if err != nil {
+		var zero V
+		return zero, err
+	}
+	e.val = v
+	landed = true
+	close(e.done)
+	return v, nil
 }

@@ -124,6 +124,39 @@ func TestStageCacheComputeRunsUnlocked(t *testing.T) {
 	}
 }
 
+// TestStageCachePanickingComputeDoesNotWedge: a compute that panics must
+// still land its flight. The panic propagates to the caller whose compute
+// it was (a serve handler recovers it and keeps serving), the entry is
+// dropped, and the next lookup of the key computes instead of blocking on
+// the dead flight until its context expires.
+func TestStageCachePanickingComputeDoesNotWedge(t *testing.T) {
+	c := NewStageCache()
+	cfg := TimingConfig{}
+	p := fakeProgs(1)[0]
+
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("compute's panic did not propagate to its caller")
+			}
+		}()
+		c.baseStats(context.Background(), p, cfg, func() (Stats, error) { panic("boom") })
+	}()
+	if base, _, _ := c.Len(); base != 0 {
+		t.Errorf("cache holds %d base entries after a panicked compute, want 0", base)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	st, err := c.baseStats(ctx, p, cfg, func() (Stats, error) { return Stats{Retired: 7}, nil })
+	if err != nil || st.Retired != 7 {
+		t.Fatalf("lookup after a panicked compute: (%+v, %v), want a fresh Retired 7", st, err)
+	}
+	if st := c.Stats(); st.BaseRuns != 2 || st.BaseHits != 0 {
+		t.Errorf("stats = %+v, want 2 runs / 0 hits", st)
+	}
+}
+
 // TestStageCacheEvictionOfInflightEntry pins the eviction-accounting
 // contract while a compute is blocked in flight: the LRU bound may unmap an
 // entry whose computation is still running; the evicted flight completes

@@ -156,6 +156,15 @@ func (s *Suite) workers(n int) int {
 // A job without a program is rejected up front — before any job runs —
 // with an error naming the job's index and name.
 func (s *Suite) Run(ctx context.Context, jobs []Job) ([]Report, []error, error) {
+	return s.run(ctx, jobs, nil)
+}
+
+// run is Run with an explicit dispatch order: workers take jobs
+// order[0], order[1], … (a permutation of the job indices; nil = input
+// order). Only the start order changes — reports, per-job errors,
+// ErrJobNotRun slots and SuiteEvent.Index all stay indexed by input
+// position.
+func (s *Suite) run(ctx context.Context, jobs []Job, order []int) ([]Report, []error, error) {
 	if len(jobs) == 0 {
 		return nil, nil, ctx.Err()
 	}
@@ -179,6 +188,9 @@ func (s *Suite) Run(ctx context.Context, jobs []Job) ([]Report, []error, error) 
 		done int
 	)
 	err := ParallelEach(ctx, s.workers(len(jobs)), len(jobs), func(ctx context.Context, i int) error {
+		if order != nil {
+			i = order[i]
+		}
 		job := jobs[i]
 		eng := job.Engine
 		if eng == nil {

@@ -107,7 +107,9 @@ type Sweep struct {
 	// cells run on (nil = the reference implementations). Its configuration
 	// is ignored: each cell evaluates under its ConfigPoint's.
 	Engine *Engine
-	// Workers bounds concurrent cell evaluations (<= 0 = GOMAXPROCS).
+	// Workers bounds concurrent cell evaluations (<= 0 = GOMAXPROCS). It
+	// also sets the dispatch block size (see Run); results and progress
+	// events stay in grid order whatever its value.
 	Workers int
 	// Progress, if non-nil, is called once per completed cell with
 	// Name = "<bench>/<point>".
@@ -178,6 +180,15 @@ func (s *Sweep) Plan(benches []SweepBench, points []ConfigPoint, cache *StageCac
 // still in flight and is returned as the summary error; the result is
 // still returned with every cell's report or per-cell error filled in
 // (completed cells keep their reports, unstarted cells carry ErrJobNotRun).
+//
+// Cells are dispatched in benchmark blocks as wide as the worker pool:
+// within a block, point-major — (b0,p0), (b1,p0), (b0,p1), (b1,p1), … —
+// then the next block. Concurrent cells thus work on different benchmarks
+// instead of waiting on each other's shared stage flights, and each stage
+// entry is reused within about one block of dispatches. With one worker or
+// one benchmark the dispatch order is the grid order. Only the start order
+// changes: cells, per-cell errors and progress events (SuiteEvent.Index)
+// stay in benchmark-major grid order.
 func (s *Sweep) Run(ctx context.Context, benches []SweepBench, points []ConfigPoint) (*SweepResult, error) {
 	cache := s.Cache
 	if s.NoCache {
@@ -194,7 +205,8 @@ func (s *Sweep) Run(ctx context.Context, benches []SweepBench, points []ConfigPo
 		before = cache.Stats()
 	}
 	suite := &Suite{Workers: s.Workers, Progress: s.Progress}
-	reports, errs, err := suite.Run(ctx, jobs)
+	order := dispatchOrder(len(benches), len(points), suite.workers(len(jobs)))
+	reports, errs, err := suite.run(ctx, jobs, order)
 
 	res := &SweepResult{Cells: make([]SweepCell, len(jobs))}
 	for i := range jobs {
@@ -212,6 +224,24 @@ func (s *Sweep) Run(ctx context.Context, benches []SweepBench, points []ConfigPo
 		res.Cache = cache.Stats().sub(before)
 	}
 	return res, err
+}
+
+// dispatchOrder returns the order in which Run starts the cells of an
+// nBench x nPoint benchmark-major grid: benchmarks in consecutive blocks of
+// workers, point-major within a block. The result is a permutation of
+// [0, nBench*nPoint) and the identity when workers <= 1 or nBench == 1.
+func dispatchOrder(nBench, nPoint, workers int) []int {
+	workers = max(workers, 1)
+	order := make([]int, 0, nBench*nPoint)
+	for lo := 0; lo < nBench; lo += workers {
+		hi := min(lo+workers, nBench)
+		for p := 0; p < nPoint; p++ {
+			for b := lo; b < hi; b++ {
+				order = append(order, b*nPoint+p)
+			}
+		}
+	}
+	return order
 }
 
 // workloadsByName resolves benchmark names (all registered when empty),

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -495,5 +496,153 @@ func TestSweepProgressEvents(t *testing.T) {
 		if !strings.HasPrefix(n, "crafty/") {
 			t.Errorf("event name %q, want crafty/<point>", n)
 		}
+	}
+}
+
+// pairingObserver holds every "base" stage start until a second base run
+// is in flight (or a deadline passes), and records the benchmarks of the
+// first two base runs seen in flight together.
+type pairingObserver struct {
+	deadline time.Time
+	paired   chan struct{} // closed once two base runs are in flight
+
+	mu     sync.Mutex
+	active []string
+	pair   []string
+}
+
+func (o *pairingObserver) StageStart(stage, bench string) func() {
+	if stage != "base" {
+		return func() {}
+	}
+	o.mu.Lock()
+	o.active = append(o.active, bench)
+	if len(o.active) == 2 && o.pair == nil {
+		o.pair = slices.Clone(o.active)
+		close(o.paired)
+	}
+	o.mu.Unlock()
+	select {
+	case <-o.paired:
+	case <-time.After(time.Until(o.deadline)):
+	}
+	return func() {
+		o.mu.Lock()
+		i := slices.Index(o.active, bench)
+		o.active = slices.Delete(o.active, i, i+1)
+		o.mu.Unlock()
+	}
+}
+
+// TestSweepDispatchSpreadsBenchmarks: with two workers over two benchmarks,
+// the first two cells dispatched must start on different benchmarks, so
+// both base runs are in flight at once. Dispatched in grid order, the
+// second worker would park on the first worker's base-run flight instead.
+func TestSweepDispatchSpreadsBenchmarks(t *testing.T) {
+	benches, err := preexec.SweepBenches([]string{"vpr.p", "crafty"}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	obs := &pairingObserver{deadline: time.Now().Add(3 * time.Second), paired: make(chan struct{})}
+	s := &preexec.Sweep{Engine: preexec.New(preexec.WithStageObserver(obs)), Workers: 2}
+	runSweep(t, s, benches, selectionPoints(5_000, 10_000)[:2])
+	if obs.pair == nil {
+		t.Fatal("no two base runs were ever in flight together: the workers waited on each other")
+	}
+	if obs.pair[0] == obs.pair[1] {
+		t.Fatalf("concurrent base runs both on %s, want different benchmarks", obs.pair[0])
+	}
+}
+
+// TestSweepGridOrderUnderDispatch pins the grid-order guarantees of a
+// multi-benchmark sweep whose dispatch order differs from its grid order:
+// the result is byte-identical to a one-worker sweep, every progress event
+// names the cell at its index, and a failing cell's error stays at the
+// failing benchmark's grid positions.
+func TestSweepGridOrderUnderDispatch(t *testing.T) {
+	benches, err := preexec.SweepBenches([]string{"crafty", "vpr.p", "mcf"}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := sweepConfig(5_000, 10_000)
+	noMerge, ml140 := base, base
+	noMerge.Selection.Merge = false
+	ml140.Machine.MemLat = 140
+	points := []preexec.ConfigPoint{
+		{Name: "base", Config: base},
+		{Name: "nomerge", Config: noMerge},
+		{Name: "ml140", Config: ml140},
+	}
+
+	run := func(workers int, eng *preexec.Engine) (*preexec.SweepResult, []preexec.SuiteEvent, error) {
+		var mu sync.Mutex
+		var events []preexec.SuiteEvent
+		s := &preexec.Sweep{Engine: eng, Workers: workers, Progress: func(ev preexec.SuiteEvent) {
+			mu.Lock()
+			events = append(events, ev)
+			mu.Unlock()
+		}}
+		res, err := s.Run(t.Context(), benches, points)
+		return res, events, err
+	}
+	checkEvents := func(workers int, res *preexec.SweepResult, events []preexec.SuiteEvent) {
+		t.Helper()
+		for _, ev := range events {
+			cell := res.Cells[ev.Index]
+			if want := cell.Bench + "/" + cell.Point; ev.Name != want {
+				t.Errorf("workers %d: event for index %d named %q, want %q", workers, ev.Index, ev.Name, want)
+			}
+		}
+	}
+
+	serial, events, err := run(1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkEvents(1, serial, events)
+	want, err := json.Marshal(serial)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{2, 3} {
+		res, events, err := run(workers, nil)
+		if err != nil {
+			t.Fatalf("workers %d: %v", workers, err)
+		}
+		if len(events) != len(res.Cells) {
+			t.Errorf("workers %d: %d progress events for %d cells", workers, len(events), len(res.Cells))
+		}
+		checkEvents(workers, res, events)
+		got, err := json.Marshal(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != string(want) {
+			t.Errorf("workers %d: sweep JSON differs from the one-worker sweep", workers)
+		}
+	}
+
+	// vpr.p, the middle benchmark, fails; at two workers it is dispatched
+	// second, ahead of crafty's later points.
+	failing := preexec.New(preexec.WithSimulator(&failingSimulator{failOn: "vpr.p", inner: passthroughSimulator{}}))
+	res, events, err := run(2, failing)
+	if err == nil || !strings.Contains(err.Error(), "injected failure") {
+		t.Fatalf("summary err = %v, want injected failure", err)
+	}
+	checkEvents(2, res, events)
+	var failed int
+	for i, cell := range res.Cells {
+		if cell.Err != nil && strings.Contains(cell.Err.Error(), "injected failure") {
+			failed++
+			if cell.Bench != "vpr.p" {
+				t.Errorf("cell %d (%s/%s) carries vpr.p's failure", i, cell.Bench, cell.Point)
+			}
+		}
+		if cell.Err == nil && cell.Report.Program != cell.Bench {
+			t.Errorf("cell %d (%s/%s) holds a report for %s", i, cell.Bench, cell.Point, cell.Report.Program)
+		}
+	}
+	if failed == 0 {
+		t.Error("no cell carries the injected failure")
 	}
 }
