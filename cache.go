@@ -28,8 +28,9 @@ import (
 //     max slice length, region granularity) plus the profiled program —
 //     which may be the selection target (SelectionConfig.ProfileOn), not
 //     the evaluated program.
-//   - traces: the same base-run identity (the recorded front-end stream is
-//     selection- and mode-independent, see timing.RecordTrace) plus the
+//   - traces: the record count timing.TraceRecords derives from the run
+//     sizing (the recorded front-end stream is independent of selection,
+//     mode, memory latency and width, see timing.RecordTrace) plus the
 //     timing.TraceVersion simulator fingerprint, so a timing-core change
 //     invalidates recorded traces cleanly.
 //
@@ -95,10 +96,12 @@ type CacheStats struct {
 	BaseHits    int64 `json:"base_hits"`
 	ProfileRuns int64 `json:"profile_runs"`
 	ProfileHits int64 `json:"profile_hits"`
-	// TraceRuns counts base-run trace recordings, TraceHits replays served
-	// from an already-recorded trace. A selection-knob grid over N traceable
-	// benchmarks records exactly N traces; cells whose runs are too large to
-	// record (see timing.Traceable) simulate directly and count in neither.
+	// TraceRuns counts base-run trace recordings, TraceHits cells served
+	// from an already-recorded trace. A grid over N traceable benchmarks
+	// whose cells share one run length — a selection-knob grid, or a machine
+	// grid over memory latency and width — records exactly N traces; cells
+	// whose runs are too large to record (see timing.Traceable) simulate
+	// directly and count in neither.
 	TraceRuns int64 `json:"trace_runs,omitempty"`
 	TraceHits int64 `json:"trace_hits,omitempty"`
 	// Evictions counts entries dropped by the WithStageCacheLimit LRU
@@ -257,7 +260,7 @@ type profileKey struct {
 
 type traceKey struct {
 	prog    *Program
-	cfg     TimingConfig
+	records int64
 	version string
 }
 
@@ -274,13 +277,14 @@ func (c *StageCache) regions(ctx context.Context, p *Program, opts ProfileOption
 }
 
 // traceFor returns the memoized base-run trace for (p, cfg), recording it on
-// a miss. cfg may carry any p-thread mode: the recorded front-end stream is
-// mode- and selection-independent, so the entry is keyed by the same
-// normalized base-run identity as baseStats, plus the simulator fingerprint
-// (a timing-core change invalidates recorded traces cleanly). Traces are
-// immutable after recording and shared by pointer across concurrent replays.
+// a miss. The recorded front-end stream depends only on the program and its
+// length, so the entry is keyed by timing.TraceRecords(cfg) — every mode,
+// selection, memory latency and width with that record count shares it —
+// plus the simulator fingerprint (a timing-core change invalidates recorded
+// traces cleanly). Traces are immutable after recording and shared by
+// pointer across concurrent replays.
 func (c *StageCache) traceFor(ctx context.Context, p *Program, cfg TimingConfig, compute func() (*Trace, error)) (*Trace, error) {
-	key := traceKey{prog: p, cfg: normalizeBaseTiming(cfg), version: timing.TraceVersion}
+	key := traceKey{prog: p, records: timing.TraceRecords(cfg), version: timing.TraceVersion}
 	return c.trace.getOrCompute(ctx, key, compute)
 }
 

@@ -22,10 +22,10 @@
 //	tsweep -memlat 70,140 -selmemlat 70,140                 # Figure 8
 //
 // -cache=off disables stage memoization (every cell recomputes everything);
-// -replay=off forces every selection-dependent run through full simulation
-// instead of replaying the memoized base-run trace. Results are bit-for-bit
-// identical any way these are set. The cache's run/hit counters are reported
-// on stderr.
+// -replay=off forces every base and selection-dependent run through full
+// simulation instead of replaying the memoized base-run trace (one per
+// benchmark and run length). Results are bit-for-bit identical any way these
+// are set. The cache's run/hit counters are reported on stderr.
 //
 // -trace records the sweep's stage executions as spans — one "sweep" root
 // plus one "stage:<name>" span per base run, profile, selection, trace

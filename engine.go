@@ -33,10 +33,11 @@ type Simulator interface {
 // (fetch order, effective addresses, predictor verdicts — all
 // selection-independent), and Replay scores a p-thread set against the
 // recorded stream without re-simulating, bit-identical to Simulate. Engines
-// with a stage cache route selection-dependent timing runs through this
-// interface automatically when their Simulator implements it (the reference
-// simulator does); a Simulator without it simply always simulates in full.
-// See WithReplay for the escape hatch.
+// with a stage cache route selection-dependent timing runs — and Evaluate's
+// cached base run, replayed with no p-threads — through this interface
+// automatically when their Simulator implements it (the reference simulator
+// does); a Simulator without it simply always simulates in full. See
+// WithReplay for the escape hatch.
 type TraceReplayer interface {
 	RecordTrace(ctx context.Context, p *Program, cfg TimingConfig) (*Trace, error)
 	Replay(ctx context.Context, t *Trace, pts []*PThread, cfg TimingConfig) (Stats, error)
@@ -74,13 +75,15 @@ func (timingSimulator) Replay(ctx context.Context, t *Trace, pts []*PThread, cfg
 
 // StageObserver receives a callback around every pipeline stage execution:
 // StageStart is called when a stage begins and the func it returns when the
-// stage ends. Stages are named "base" (the unassisted timing run),
-// "profile", "select", "sim" (a fully simulated p-thread timing run),
-// "trace" (a base-run trace recording), and "replay" (a p-thread run scored
-// against the recorded trace); bench is the program under evaluation (""
-// where no single program applies). With a stage cache attached, only real
-// executions are observed — cache hits never reach the observer, so
-// observed latencies are true stage costs.
+// stage ends. Stages are named "base" (the unassisted timing run — under
+// Evaluate's replay fast path, a replay of the recorded trace with no
+// p-threads), "profile", "select", "sim" (a fully simulated p-thread timing
+// run), "trace" (a base-run trace recording), and "replay" (a p-thread run
+// scored against the recorded trace); bench is the program under evaluation
+// ("" where no single program applies). Stages never nest: one ends before
+// the next starts, so a sequential run's stage times add up. With a stage
+// cache attached, only real executions are observed — cache hits never
+// reach the observer, so observed latencies are true stage costs.
 //
 // Observers exist for instrumentation (the serve package feeds stage
 // latency histograms and span traces from this hook) and must not influence
@@ -108,10 +111,10 @@ type Engine struct {
 	// cache, if non-nil, memoizes base timing runs, profiles, and base-run
 	// traces across engines sharing it (see StageCache and Sweep).
 	cache *StageCache
-	// replay enables the trace-replay fast path for selection-dependent
-	// timing runs (see WithReplay). It only engages with a cache attached:
-	// without memoization, recording a trace to replay it once costs as much
-	// as simulating directly.
+	// replay enables the trace-replay fast path for Evaluate's base run and
+	// selection-dependent timing runs (see WithReplay). It only engages with
+	// a cache attached: without memoization, recording a trace to replay it
+	// once costs as much as simulating directly.
 	replay bool
 	// observer, if non-nil, is called around every stage execution.
 	observer StageObserver
@@ -155,8 +158,10 @@ func WithStageCache(c *StageCache) Option { return func(e *Engine) { e.cache = c
 // WithReplay toggles the trace-replay fast path (on by default). With a
 // stage cache attached, a Simulator implementing TraceReplayer, and a run
 // small enough to record (timing.Traceable), selection-dependent timing runs
-// are scored against a memoized base-run trace instead of re-simulating —
-// bit-identical results, several times faster on selection-only grids.
+// are scored against a memoized base-run trace instead of re-simulating, and
+// Evaluate computes an uncached base run by replaying that trace with no
+// p-threads — bit-identical results, several times faster on selection-only
+// grids, and one trace per benchmark and run length on machine grids.
 // WithReplay(false) is the escape hatch forcing every cell through full
 // simulation (the -replay=off flag of cmd/tsweep).
 func WithReplay(on bool) Option { return func(e *Engine) { e.replay = on } }
@@ -187,59 +192,56 @@ func New(opts ...Option) *Engine {
 // Config returns the engine's configuration.
 func (e *Engine) Config() Config { return e.cfg }
 
-// simulateRun routes one timing run. Unassisted base runs go through the
-// stage cache when one is attached; selection-dependent runs replay against
-// the memoized base-run trace when the fast path applies and otherwise
-// simulate in full. Results are bit-identical either way (the refsim-style
-// equivalence suite in internal/timing and synth pins this).
-func (e *Engine) simulateRun(ctx context.Context, p *Program, pts []*PThread, cfg TimingConfig) (Stats, error) {
-	if pts == nil && cfg.Mode == ModeBase {
-		if e.cache != nil {
-			return e.cache.baseStats(ctx, p, cfg, func() (Stats, error) {
-				return e.simulate(ctx, p, nil, cfg, "base")
-			})
-		}
-		return e.simulate(ctx, p, nil, cfg, "base")
+// trace returns the memoized base-run trace for runs of p under cfg,
+// recording it on a miss, or nil when the fast path does not apply: it needs
+// replay enabled, a stage cache attached, a run small enough to record, and
+// a Simulator implementing TraceReplayer. The observer sees a "trace" stage
+// only when the recording actually happens, and it ends before any stage
+// that replays the trace starts.
+func (e *Engine) trace(ctx context.Context, p *Program, cfg TimingConfig) (*Trace, error) {
+	tr, ok := e.simulator.(TraceReplayer)
+	if !ok || !e.replay || e.cache == nil || !timing.Traceable(cfg) {
+		return nil, nil
 	}
-	if e.replay && e.cache != nil && timing.Traceable(cfg) {
-		if tr, ok := e.simulator.(TraceReplayer); ok {
-			return e.replaySimulate(ctx, tr, p, pts, cfg)
-		}
-	}
-	return e.simulate(ctx, p, pts, cfg, "sim")
-}
-
-// simulate runs the timing backend under the stage observer. The observer
-// wraps only actual executions: the cached base path reaches here from
-// inside the cache's compute closure, so cache hits are never observed.
-func (e *Engine) simulate(ctx context.Context, p *Program, pts []*PThread, cfg TimingConfig, stage string) (Stats, error) {
-	if e.observer != nil {
-		defer e.observer.StageStart(stage, p.Name)()
-	}
-	return e.simulator.Simulate(ctx, p, pts, cfg)
-}
-
-// replaySimulate is the trace-replay fast path for one selection-dependent
-// timing run: fetch (or record) the memoized base-run trace, then replay the
-// p-threads against it. The observer sees real work only — a "trace" stage
-// inside the cache's compute closure when the recording actually happens,
-// and a "replay" stage per replayed run. Errors propagate; there is no
-// silent fall back to full simulation, so a replay bug can never hide as a
-// performance regression.
-func (e *Engine) replaySimulate(ctx context.Context, tr TraceReplayer, p *Program, pts []*PThread, cfg TimingConfig) (Stats, error) {
-	t, err := e.cache.traceFor(ctx, p, cfg, func() (*Trace, error) {
+	return e.cache.traceFor(ctx, p, cfg, func() (*Trace, error) {
 		if e.observer != nil {
 			defer e.observer.StageStart("trace", p.Name)()
 		}
 		return tr.RecordTrace(ctx, p, cfg)
 	})
-	if err != nil {
-		return Stats{}, err
+}
+
+// simulateRun routes one timing run. t is the run's base-run trace (see
+// trace), or nil to simulate in full. Unassisted base runs go through the
+// stage cache when one is attached, as a "base" stage; selection-dependent
+// runs are a "replay" stage with a trace and a "sim" stage without.
+// Results are bit-identical either way (the refsim-style equivalence suite
+// in internal/timing and synth pins this). There is no silent fall back
+// from a failed replay to full simulation, so a replay bug can never hide as
+// a performance regression.
+func (e *Engine) simulateRun(ctx context.Context, p *Program, pts []*PThread, cfg TimingConfig, t *Trace) (Stats, error) {
+	// The observer wraps only actual executions: the cached base path runs
+	// this inside the cache's compute closure, so cache hits are never
+	// observed.
+	run := func(stage string) (Stats, error) {
+		if e.observer != nil {
+			defer e.observer.StageStart(stage, p.Name)()
+		}
+		if t != nil {
+			return e.simulator.(TraceReplayer).Replay(ctx, t, pts, cfg)
+		}
+		return e.simulator.Simulate(ctx, p, pts, cfg)
 	}
-	if e.observer != nil {
-		defer e.observer.StageStart("replay", p.Name)()
+	if pts == nil && cfg.Mode == ModeBase {
+		if e.cache != nil {
+			return e.cache.baseStats(ctx, p, cfg, func() (Stats, error) { return run("base") })
+		}
+		return run("base")
 	}
-	return tr.Replay(ctx, t, pts, cfg)
+	if t != nil {
+		return run("replay")
+	}
+	return run("sim")
 }
 
 // profile runs the profiling backend through the stage cache when one is
@@ -293,7 +295,14 @@ func (e *Engine) Evaluate(ctx context.Context, p *Program) (Report, error) {
 	// Keep the "core:" error prefixes stable: sweep JSON and CSV error
 	// fields carry these strings to clients.
 	cfg := e.cfg.Normalized()
-	base, err := e.simulateRun(ctx, p, nil, cfg.timingConfig(ModeBase))
+	baseCfg := cfg.timingConfig(ModeBase)
+	// One trace lookup serves both timing runs: the base run (when it is not
+	// cached already) and the pre-execution run replay the same recording.
+	t, err := e.trace(ctx, p, baseCfg)
+	if err != nil {
+		return Report{}, fmt.Errorf("core: base run: %w", err)
+	}
+	base, err := e.simulateRun(ctx, p, nil, baseCfg, t)
 	if err != nil {
 		return Report{}, fmt.Errorf("core: base run: %w", err)
 	}
@@ -301,7 +310,7 @@ func (e *Engine) Evaluate(ctx context.Context, p *Program) (Report, error) {
 	if err != nil {
 		return Report{}, fmt.Errorf("core: selection: %w", err)
 	}
-	pre, err := e.simulateRun(ctx, p, sel.PThreads, cfg.timingConfig(ModeNormal))
+	pre, err := e.simulateRun(ctx, p, sel.PThreads, cfg.timingConfig(ModeNormal), t)
 	if err != nil {
 		return Report{}, fmt.Errorf("core: pre-execution run: %w", err)
 	}
@@ -355,5 +364,15 @@ func (e *Engine) SelectForest(f *Forest, baseIPC float64) SelectionResult {
 // simulation modes (ModeBase with nil p-threads is the unassisted machine;
 // the overhead/latency modes are the paper's §4.3 validation diagnostics).
 func (e *Engine) Simulate(ctx context.Context, p *Program, pts []*PThread, mode Mode) (Stats, error) {
-	return e.simulateRun(ctx, p, pts, e.cfg.Normalized().timingConfig(mode))
+	cfg := e.cfg.Normalized().timingConfig(mode)
+	if pts == nil && mode == ModeBase {
+		// A lone base run simulates in full: recording a trace to replay it
+		// once costs as much.
+		return e.simulateRun(ctx, p, nil, cfg, nil)
+	}
+	t, err := e.trace(ctx, p, cfg)
+	if err != nil {
+		return Stats{}, err
+	}
+	return e.simulateRun(ctx, p, pts, cfg, t)
 }

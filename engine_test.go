@@ -11,6 +11,7 @@ import (
 	"os"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -485,6 +486,76 @@ func TestStageObserverSeesEverySelect(t *testing.T) {
 	eng.SelectForest(regions[0].Forest, rep.Base.IPC)
 	if want := (stageCounter{"base": 1, "profile": 3, "select": 3, "sim": 1}); !reflect.DeepEqual(obs, want) {
 		t.Errorf("after Select, Profile and SelectForest observed %v, want %v", obs, want)
+	}
+}
+
+// nestingObserver is a StageObserver that counts stage executions by name
+// and records an error whenever a stage starts while another is open.
+type nestingObserver struct {
+	mu     sync.Mutex
+	open   string
+	calls  map[string]int64
+	nested []string
+}
+
+func (o *nestingObserver) StageStart(stage, bench string) func() {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	if o.open != "" {
+		o.nested = append(o.nested, fmt.Sprintf("%s/%s started inside %s", bench, stage, o.open))
+	}
+	o.open = bench + "/" + stage
+	o.calls[stage]++
+	return func() {
+		o.mu.Lock()
+		o.open = ""
+		o.mu.Unlock()
+	}
+}
+
+// TestStageObserverSpansDoNotNest pins the StageObserver contract the
+// sequential stage ledger relies on: on a Workers: 1 machine sweep, where
+// each cell's base run replays its benchmark's shared trace, no stage starts
+// while another is open (so per-stage times add up), and each stage is
+// observed exactly as often as the cache ran it.
+func TestStageObserverSpansDoNotNest(t *testing.T) {
+	benches, err := preexec.SweepBenches([]string{"vpr.p", "mcf"}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var points []preexec.ConfigPoint
+	for _, memLat := range []int{35, 140} {
+		for _, width := range []int{4, 8} {
+			cfg := preexec.DefaultConfig()
+			cfg.Machine.WarmInsts, cfg.Machine.MeasureInsts = 10_000, 30_000
+			cfg.Machine.MemLat, cfg.Machine.Width = memLat, width
+			points = append(points, preexec.ConfigPoint{Name: fmt.Sprintf("l%d-w%d", memLat, width), Config: cfg})
+		}
+	}
+	obs := &nestingObserver{calls: map[string]int64{}}
+	s := &preexec.Sweep{Engine: preexec.New(preexec.WithStageObserver(obs)), Workers: 1}
+	res, err := s.Run(t.Context(), benches, points)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range obs.nested {
+		t.Error(n)
+	}
+	cells := int64(len(benches) * len(points))
+	c := res.Cache
+	if c.TraceRuns != 2 {
+		t.Errorf("TraceRuns = %d, want one trace per benchmark (2)", c.TraceRuns)
+	}
+	for _, x := range []struct {
+		stage string
+		want  int64
+	}{
+		{"base", c.BaseRuns}, {"profile", c.ProfileRuns}, {"trace", c.TraceRuns},
+		{"select", cells}, {"replay", cells}, {"sim", 0},
+	} {
+		if got := obs.calls[x.stage]; got != x.want {
+			t.Errorf("observed %d %s executions, want %d", got, x.stage, x.want)
+		}
 	}
 }
 

@@ -351,19 +351,17 @@ type replaySim struct {
 // Replay scores the p-thread selection pts under cfg against the recorded
 // trace t, without re-simulating fetch: the returned Stats are bit-identical
 // to RunContext(ctx, t.Program(), pts, cfg). The trace must have been
-// recorded under the same TraceVersion, the same machine geometry, and a run
-// extent covering cfg's WarmInsts+MaxInsts (RecordTrace with the same Config
-// family guarantees all three); a too-short trace returns an error, never
+// recorded under the same TraceVersion and extend past cfg's
+// WarmInsts+MaxInsts by cfg's maximum fetch-ahead (RecordTrace under any
+// configuration with the same TraceRecords guarantees both, whatever its
+// memory latency, width or mode); a too-short trace returns an error, never
 // silently wrong numbers.
 func Replay(ctx context.Context, t *Trace, pts []*pthread.PThread, cfg Config) (Stats, error) {
 	if t.version != TraceVersion {
 		return Stats{}, fmt.Errorf("timing: trace version %q does not match simulator %q", t.version, TraceVersion)
 	}
 	cfg = cfg.withDefaults()
-	total := cfg.WarmInsts + cfg.MaxInsts
-	if total < 0 { // overflow of the "unbounded" default
-		total = cfg.MaxInsts
-	}
+	total := runInsts(cfg)
 	// A trace ending in HALT (or truncated by an oracle error) covers the
 	// whole fetch stream; an extent-bounded trace must cover this run's
 	// total plus its maximum fetch-ahead.

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"preexec/internal/program"
+	"preexec/internal/pthread"
 	"preexec/internal/workload"
 )
 
@@ -52,6 +53,60 @@ func TestReplayMatchesSimulation(t *testing.T) {
 				}
 				if got != want {
 					t.Errorf("%s/%s: replay diverges from simulation\n got: %+v\nwant: %+v", w.Name, mode, got, want)
+				}
+			}
+		})
+	}
+}
+
+// TestReplayAcrossMachines pins the machine independence of a recorded
+// trace: one trace per workload, recorded under Width 4 and MemLat 35,
+// replays every machine of the paper's cross-validation grid (MemLat
+// {35, 70, 140, 280} x Width {4, 8}) bit-identically to full simulation,
+// both unassisted and with selected p-threads. At this window every machine
+// needs the same TraceRecords, so the stage cache serves all eight from one
+// recording.
+func TestReplayAcrossMachines(t *testing.T) {
+	const warm, measure = 10_000, 30_000
+	rec := DefaultConfig()
+	rec.WarmInsts, rec.MaxInsts = warm, measure
+	rec.Width, rec.MemLat = 4, 35
+	for _, w := range workload.All() {
+		w := w
+		t.Run(w.Name, func(t *testing.T) {
+			t.Parallel()
+			prog := w.Build(1)
+			pts := selectFor(t, prog, warm, measure)
+			tr := recordFor(t, prog, rec)
+			if got, want := int64(tr.Records()), TraceRecords(rec); got != want {
+				t.Fatalf("trace holds %d records, TraceRecords = %d", got, want)
+			}
+			for _, memLat := range []int{35, 70, 140, 280} {
+				for _, width := range []int{4, 8} {
+					cfg := rec
+					cfg.MemLat, cfg.Width = memLat, width
+					if TraceRecords(cfg) != TraceRecords(rec) {
+						t.Fatalf("MemLat %d Width %d needs %d records, the trace has %d",
+							memLat, width, TraceRecords(cfg), TraceRecords(rec))
+					}
+					for _, run := range []struct {
+						mode Mode
+						pts  []*pthread.PThread
+					}{{ModeBase, nil}, {ModeNormal, pts}} {
+						cfg.Mode = run.mode
+						want, err := Run(prog, run.pts, cfg)
+						if err != nil {
+							t.Fatalf("l%d/w%d/%s: simulation: %v", memLat, width, run.mode, err)
+						}
+						got, err := Replay(context.Background(), tr, run.pts, cfg)
+						if err != nil {
+							t.Fatalf("l%d/w%d/%s: replay: %v", memLat, width, run.mode, err)
+						}
+						if got != want {
+							t.Errorf("l%d/w%d/%s: replay diverges from simulation\n got: %+v\nwant: %+v",
+								memLat, width, run.mode, got, want)
+						}
+					}
 				}
 			}
 		})

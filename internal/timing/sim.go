@@ -374,10 +374,7 @@ func livelockGuard(total int64) int64 {
 
 // RunContext executes the simulation loop under a context.
 func (s *Sim) RunContext(ctx context.Context) (Stats, error) {
-	total := s.cfg.WarmInsts + s.cfg.MaxInsts
-	if total < 0 { // overflow of the "unbounded" default
-		total = s.cfg.MaxInsts
-	}
+	total := runInsts(s.cfg)
 	guard := livelockGuard(total) // deadlock/livelock backstop
 	done := ctx.Done()
 	var warm Stats

@@ -17,8 +17,10 @@ import (
 // the dynamic instruction sequence, the effective addresses, and the branch
 // predictor's verdicts depend only on the program and the fetch (= program)
 // order in which the predictor trains — never on p-threads, which occupy
-// their own SMT contexts and are invisible to fetch. One recorded base-run
-// trace therefore serves every selection and every p-thread mode: Replay
+// their own SMT contexts and are invisible to fetch — nor on the machine's
+// memory latency or width, which only time the stream. One recorded trace
+// therefore serves every selection, every p-thread mode, and every machine
+// whose run needs the same number of records (TraceRecords): Replay
 // (replay.go) re-times the backend against the recorded stream and produces
 // Stats bit-identical to a full RunContext simulation.
 //
@@ -73,9 +75,9 @@ type traceRec struct {
 const noSrc = 0xff
 
 // Trace is a recorded base-run event stream: the complete front-end input of
-// any timing simulation of its program under its recorded configuration
-// family (all modes, any selection). Traces are immutable after recording
-// and safe for concurrent Replay calls.
+// any timing simulation of its program whose run it covers (all modes, any
+// selection, any machine with the same TraceRecords). Traces are immutable
+// after recording and safe for concurrent Replay calls.
 type Trace struct {
 	prog    *program.Program
 	version string
@@ -116,29 +118,57 @@ func traceExtent(cfg Config) int64 {
 	return int64(cfg.ROB + 8*cfg.Width)
 }
 
+// traceQuantum is the granularity of recorded trace lengths (see
+// TraceRecords). It exceeds every fetch-ahead difference between the
+// paper's machines (Width 4 and 8 differ by 32 records), so they share one
+// trace, and costs a trace at most traceQuantum-1 spare records (≈160 KB).
+const traceQuantum = 4096
+
+// runInsts returns the instructions a run under cfg (with defaults applied)
+// retires: warm-up plus measurement.
+func runInsts(cfg Config) int64 {
+	total := cfg.WarmInsts + cfg.MaxInsts
+	if total < 0 { // overflow of the "unbounded" default
+		total = cfg.MaxInsts
+	}
+	return total
+}
+
 // Traceable reports whether a configuration's run is small enough to record.
 func Traceable(cfg Config) bool {
 	cfg = cfg.withDefaults()
-	total := cfg.WarmInsts + cfg.MaxInsts
+	total := runInsts(cfg)
 	return total > 0 && total <= maxTraceInsts
+}
+
+// TraceRecords returns how many records RecordTrace captures for a run
+// under cfg: the run's instruction total plus its maximum fetch-ahead
+// (traceExtent), rounded up to a multiple of traceQuantum. It is 0 for a run
+// that is not Traceable. The recorded stream depends only on the program and
+// this count, so two configurations with equal TraceRecords replay one
+// trace, whatever their memory latency, width or mode.
+func TraceRecords(cfg Config) int64 {
+	if !Traceable(cfg) {
+		return 0
+	}
+	cfg = cfg.withDefaults()
+	n := runInsts(cfg) + traceExtent(cfg)
+	return (n + traceQuantum - 1) / traceQuantum * traceQuantum
 }
 
 // RecordTrace records the front-end event stream a simulation of prog under
 // cfg (any mode) consumes: it drives the functional oracle and the branch
 // predictor — exactly the simulator's fetch stage, minus the machinery — for
-// the run's instruction total plus the maximum fetch-ahead. The p-thread
-// mode and ablation fields of cfg are irrelevant to the recording; the run
-// sizing (WarmInsts, MaxInsts) and machine geometry size the extent.
+// TraceRecords(cfg) instructions, or until HALT or an oracle error. Only the
+// record count depends on cfg: the trace serves every configuration with
+// the same TraceRecords, whatever its memory latency, width, p-thread mode
+// or ablation switches.
 func RecordTrace(ctx context.Context, prog *program.Program, cfg Config) (*Trace, error) {
-	cfg = cfg.withDefaults()
-	total := cfg.WarmInsts + cfg.MaxInsts
-	if total < 0 { // overflow of the "unbounded" default
-		total = cfg.MaxInsts
+	extent := TraceRecords(cfg)
+	if extent == 0 {
+		return nil, fmt.Errorf("timing: run of %d instructions is not traceable (max %d)",
+			runInsts(cfg.withDefaults()), maxTraceInsts)
 	}
-	if total <= 0 || total > maxTraceInsts {
-		return nil, fmt.Errorf("timing: run of %d instructions is not traceable (max %d)", total, maxTraceInsts)
-	}
-	extent := total + traceExtent(cfg)
 
 	oracle := cpu.New(prog)
 	pred := branch.New(branch.DefaultConfig())

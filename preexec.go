@@ -68,8 +68,9 @@ type SelectorOptions = selector.Options
 type TimingConfig = timing.Config
 
 // Trace is a recorded base-run event trace: the complete front-end input of
-// any timing simulation of its program under its recorded configuration
-// family (all modes, any selection). See Simulator and TraceReplayer.
+// any timing simulation of its program that the trace is long enough for
+// (all modes, any selection, any memory latency or width with the same
+// timing.TraceRecords). See Simulator and TraceReplayer.
 type Trace = timing.Trace
 
 // Mode selects what simulated p-threads are allowed to do; the diagnostic

@@ -162,8 +162,13 @@ type coordCell struct {
 	prog *preexec.Program
 	// routeKey concatenates the base and profile stage keys: cells sharing
 	// all their stage work land on one backend's cache together. The trace
-	// key never adds routing information — it groups identically to the base
-	// key — so it stays out of the route.
+	// key never adds routing information — cells with equal base keys have
+	// equal trace keys, the trace's identity being only the record count
+	// their run window and width derive — so it stays out of the route. The
+	// converse does not hold: a machine grid's cells share their
+	// benchmark's trace across memory latencies and widths but not a base
+	// run, so they may spread over backends that each record that trace.
+	// The merged CacheStats model a single node and do not show this.
 	routeKey string
 	keys     preexec.StageKeySet
 }
@@ -193,8 +198,9 @@ func (c *coordinator) sweep(ctx context.Context, benches []preexec.SweepBench, p
 			baseGroups[ks.Base] = true
 			profGroups[ks.Profile] = true
 			// Every traceable cell performs exactly one trace lookup (its
-			// selection-dependent run replays); untraceable cells simulate in
-			// full and touch the trace stage not at all. This mirrors the
+			// base run, when not cached, and its selection-dependent run
+			// replay the trace); untraceable cells simulate in full and
+			// touch the trace stage not at all. This mirrors the
 			// local-fallback path too: fallback cells run through the
 			// coordinator's own engine, whose replay gating uses the same
 			// Traceable predicate the key rendering does.

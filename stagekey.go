@@ -16,10 +16,11 @@ import (
 // and cross-node routing.
 
 // normalizeBaseTiming reduces a timing configuration to the identity of the
-// base run (and recorded trace) it shares: the injection throttle only gates
-// p-thread bursts, so ablation cells share the base run, and the p-thread
-// mode is irrelevant to both the unassisted run and the recorded front-end
-// stream, so every mode maps onto the ModeBase identity.
+// base run it shares: the injection throttle only gates p-thread bursts, so
+// ablation cells share the base run, and the p-thread mode is irrelevant to
+// the unassisted run, so every mode maps onto the ModeBase identity. The
+// recorded trace has a coarser identity still: the record count alone (see
+// timing.TraceRecords).
 func normalizeBaseTiming(cfg TimingConfig) TimingConfig {
 	cfg.NoRSThrottle = false
 	cfg.Mode = timing.ModeBase
@@ -50,12 +51,13 @@ func StageKeys(bench string, scale int, cfg Config) StageKeySet {
 		Profile: fmt.Sprintf("prof|%s|%d|wi%d|pi%d|sc%d|ml%d|ri%d",
 			bench, scale, po.WarmInsts, po.MaxInsts, po.Scope, po.MaxSlice, po.RegionInsts),
 	}
-	if timing.Traceable(tc) {
-		// The simulator fingerprint is part of the trace identity, so a
-		// timing-core change invalidates routed traces exactly as it
-		// invalidates locally cached ones.
-		ks.Trace = fmt.Sprintf("trace|%s|%d|w%d|l%d|wi%d|mi%d|%s",
-			bench, scale, tc.Width, tc.MemLat, tc.WarmInsts, tc.MaxInsts, timing.TraceVersion)
+	if n := timing.TraceRecords(tc); n > 0 {
+		// The record count is the trace's whole run-dependent identity:
+		// memory latency and width only time the recorded stream. The
+		// simulator fingerprint is part of the identity, so a timing-core
+		// change invalidates routed traces exactly as it invalidates locally
+		// cached ones.
+		ks.Trace = fmt.Sprintf("trace|%s|%d|n%d|%s", bench, scale, n, timing.TraceVersion)
 	}
 	return ks
 }

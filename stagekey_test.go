@@ -7,16 +7,23 @@ import (
 	"preexec/internal/timing"
 )
 
-// stagekeyGrid crosses every axis cmd/tsweep exposes (scope, maxlen, opt,
-// merge, region, memlat, selmemlat, width, selwidth) with a default and a
-// variant value: 512 configurations covering every combination of
-// stage-feeding and stage-irrelevant knobs.
+// stagekeyGrid crosses every axis cmd/tsweep exposes (the warm/measure
+// window, scope, maxlen, opt, merge, region, memlat, selmemlat, width,
+// selwidth) with a default and one or two variant values: 1536
+// configurations covering every combination of stage-feeding and
+// stage-irrelevant knobs.
 func stagekeyGrid() []Config {
 	type mut struct {
 		name  string
 		apply func(*Config)
 	}
 	axes := [][]mut{
+		{
+			{"window=30k/120k", nil},
+			// Rounds to the default window's trace record count.
+			{"window=30k/121k", func(c *Config) { c.Machine.MeasureInsts = 121_000 }},
+			{"window=10k/30k", func(c *Config) { c.Machine.WarmInsts, c.Machine.MeasureInsts = 10_000, 30_000 }},
+		},
 		{{"scope=1024", nil}, {"scope=512", func(c *Config) { c.Selection.Scope = 512 }}},
 		{{"maxlen=32", nil}, {"maxlen=16", func(c *Config) { c.Selection.MaxLen = 16 }}},
 		{{"opt=true", nil}, {"opt=false", func(c *Config) { c.Selection.Optimize = false }}},
@@ -44,16 +51,25 @@ func stagekeyGrid() []Config {
 	return cfgs
 }
 
+// localTraceIdentity is the run-dependent part of a StageCache trace key:
+// the record count and the simulator fingerprint.
+type localTraceIdentity struct {
+	records int64
+	version string
+}
+
 // localStageIdentity is the StageCache's view of one configuration: the
 // exact struct keys its stages group entries by (program identity held
 // fixed). The timing config is derived precisely the way the engine derives
 // it for the cached stages — normalization, ModeBase, then the shared
-// base-run reduction.
-func localStageIdentity(cfg Config) (base TimingConfig, prof ProfileOptions, traceable bool) {
+// base-run reduction — and the trace identity from the config the engine
+// looks its trace up under.
+func localStageIdentity(cfg Config) (base TimingConfig, prof ProfileOptions, trace localTraceIdentity, traceable bool) {
 	n := cfg.Normalized()
 	base = normalizeBaseTiming(n.timingConfig(ModeBase))
 	prof = n.profileOptions()
-	return base, prof, timing.Traceable(base)
+	trace = localTraceIdentity{timing.TraceRecords(n.timingConfig(ModeBase)), timing.TraceVersion}
+	return base, prof, trace, timing.Traceable(base)
 }
 
 // TestStageKeysMatchLocalCacheIdentity is the single-source regression for
@@ -68,10 +84,11 @@ func TestStageKeysMatchLocalCacheIdentity(t *testing.T) {
 	keys := make([]StageKeySet, len(cfgs))
 	bases := make([]TimingConfig, len(cfgs))
 	profs := make([]ProfileOptions, len(cfgs))
+	traces := make([]localTraceIdentity, len(cfgs))
 	for i, cfg := range cfgs {
 		keys[i] = StageKeys("bench", 1, cfg)
 		var traceable bool
-		bases[i], profs[i], traceable = localStageIdentity(cfg)
+		bases[i], profs[i], traces[i], traceable = localStageIdentity(cfg)
 		if (keys[i].Trace != "") != traceable {
 			t.Fatalf("config %d: trace key %q, Traceable=%v", i, keys[i].Trace, traceable)
 		}
@@ -86,10 +103,10 @@ func TestStageKeysMatchLocalCacheIdentity(t *testing.T) {
 				t.Errorf("configs %d/%d: profile keys equal=%v, cache identity equal=%v\n i: %s\n j: %s",
 					i, j, got, want, keys[i].Profile, keys[j].Profile)
 			}
-			// The trace stage groups exactly like the base stage: the
-			// recorded stream depends only on the base-run identity.
-			if got, want := keys[i].Trace == keys[j].Trace, bases[i] == bases[j]; got != want {
-				t.Errorf("configs %d/%d: trace keys equal=%v, base identity equal=%v\n i: %s\n j: %s",
+			// The trace stage groups by record count and fingerprint: the
+			// recorded stream depends on nothing else of the run.
+			if got, want := keys[i].Trace == keys[j].Trace, traces[i] == traces[j]; got != want {
+				t.Errorf("configs %d/%d: trace keys equal=%v, trace identity equal=%v\n i: %s\n j: %s",
 					i, j, got, want, keys[i].Trace, keys[j].Trace)
 			}
 		}
@@ -115,6 +132,30 @@ func TestStageKeysDisambiguate(t *testing.T) {
 	}
 	if !strings.HasSuffix(a.Trace, "|"+timing.TraceVersion) {
 		t.Errorf("trace key %q does not end in the simulator fingerprint %q", a.Trace, timing.TraceVersion)
+	}
+
+	// The trace key names the record count, not the machine: every memory
+	// latency and width of a machine grid at the 30k/120k window shares one
+	// trace (Width 4 and 8 fetch ahead by 160 and 192 records, which round
+	// to one count), while a different run total does not.
+	machine := func(memLat, width int, warm, measure int64) Config {
+		c := cfg
+		c.Machine.MemLat, c.Machine.Width = memLat, width
+		c.Machine.WarmInsts, c.Machine.MeasureInsts = warm, measure
+		return c
+	}
+	ref := StageKeys("crafty", 1, machine(35, 4, 30_000, 120_000))
+	for _, c := range []Config{machine(280, 4, 30_000, 120_000), machine(35, 8, 30_000, 120_000), machine(280, 8, 30_000, 120_000)} {
+		if ks := StageKeys("crafty", 1, c); ks.Trace != ref.Trace || ks.Base == ref.Base {
+			t.Errorf("MemLat %d Width %d: trace key %q (base %q), want the shared trace %q under a distinct base %q",
+				c.Machine.MemLat, c.Machine.Width, ks.Trace, ks.Base, ref.Trace, ref.Base)
+		}
+	}
+	for _, c := range []Config{machine(35, 4, 30_000, 60_000), machine(35, 4, 10_000, 120_000)} {
+		if ks := StageKeys("crafty", 1, c); ks.Trace == ref.Trace {
+			t.Errorf("window %d+%d shares the 30k+120k trace key %q",
+				c.Machine.WarmInsts, c.Machine.MeasureInsts, ks.Trace)
+		}
 	}
 
 	// An untraceable run (too large to record) renders no trace key.

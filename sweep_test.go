@@ -134,12 +134,13 @@ func TestSweepMixedGridKeySeparation(t *testing.T) {
 	// Per benchmark: base/nomerge/scope512/nothrottle share one base run
 	// (scope and the p-thread-only throttle don't feed it), ml140 needs its
 	// own; base/nomerge/ml140/nothrottle share one profile (memory latency
-	// doesn't feed it), scope512 needs its own. Traces group exactly like
-	// base runs (the recorded stream is selection-independent).
+	// doesn't feed it), scope512 needs its own. All five points share one
+	// trace: the recorded stream depends only on the program and the run
+	// length, which no point changes (memory latency only times it).
 	want := preexec.CacheStats{
 		BaseRuns: 4, BaseHits: 6,
 		ProfileRuns: 4, ProfileHits: 6,
-		TraceRuns: 4, TraceHits: 6,
+		TraceRuns: 2, TraceHits: 8,
 	}
 	if cached.Cache != want {
 		t.Errorf("cache stats = %+v, want %+v", cached.Cache, want)
