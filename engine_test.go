@@ -44,7 +44,9 @@ const reportGoldenPath = "testdata/engine_report_golden.txt"
 // from normalization; per-region selection; a narrow, slow machine whose
 // width and latency the selector must inherit; and a cross-validation +
 // ablation cell that lies to the selector about the machine, shortens the
-// selection profile, and flips both model-refinement switches.
+// selection profile, and flips both model-refinement switches; then the
+// base flow at p-thread lengths 8 and 64 and per-region selection at
+// length 16, so lengths on both sides of the default are pinned.
 func goldenConfigs() []struct {
 	name string
 	cfg  preexec.Config
@@ -66,10 +68,20 @@ func goldenConfigs() []struct {
 	xval.Selection.ProfileInsts = 30_000
 	xval.Ablation = preexec.AblationConfig{ModelLoadLat: 1, NoRSThrottle: true}
 
+	len8 := def
+	len8.Selection.MaxLen = 8
+
+	len16Regions := regions
+	len16Regions.Selection.MaxLen = 16
+
+	len64 := def
+	len64.Selection.MaxLen = 64
+
 	return []struct {
 		name string
 		cfg  preexec.Config
-	}{{"default", def}, {"zero-selection", zeroSel}, {"regions", regions}, {"machine", machine}, {"xval-ablate", xval}}
+	}{{"default", def}, {"zero-selection", zeroSel}, {"regions", regions}, {"machine", machine}, {"xval-ablate", xval},
+		{"maxlen8", len8}, {"maxlen16-regions", len16Regions}, {"maxlen64", len64}}
 }
 
 // goldenModes are the five simulation modes the golden's Simulate lines
