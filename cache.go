@@ -25,9 +25,11 @@ import (
 //     ModeBase runs are cached; p-thread runs depend on the selection and
 //     are never shared.
 //   - profiles: the full ProfileOptions (warm-up, profile window, scope,
-//     max slice length, region granularity) plus the profiled program —
+//     profiled slice length, region granularity) plus the profiled program —
 //     which may be the selection target (SelectionConfig.ProfileOn), not
-//     the evaluated program.
+//     the evaluated program. The profiled length is never below the default
+//     p-thread length, so every shorter MaxLen shares the default's entry
+//     and the engine projects it per cell (see Profiler).
 //   - traces: the record count timing.TraceRecords derives from the run
 //     sizing (the recorded front-end stream is independent of selection,
 //     mode, memory latency and width, see timing.RecordTrace) plus the
@@ -90,7 +92,9 @@ func NewStageCache(opts ...StageCacheOption) *StageCache {
 // opt/merge grid) over N benchmarks reports exactly N BaseRuns and N
 // ProfileRuns regardless of the grid size; a grid axis that feeds a stage
 // (scope, region granularity, memory latency) adds runs only to that
-// stage.
+// stage. The p-thread length feeds the profile only above the default
+// length: a length grid {8, 16, 32, 64} over N benchmarks reports 2N
+// ProfileRuns.
 type CacheStats struct {
 	BaseRuns    int64 `json:"base_runs"`
 	BaseHits    int64 `json:"base_hits"`

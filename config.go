@@ -89,8 +89,9 @@ func DefaultConfig() Config {
 // identical stage work, so normalized configurations are the cross-process
 // identity the distributed sweep coordinator routes cells by: the fields of
 // Machine name a base timing run, and (WarmInsts, ProfileInsts, Scope,
-// MaxLen, RegionInsts) plus the profiled program name a profile, mirroring
-// the StageCache key structure.
+// RegionInsts) plus the profiled program name a profile, mirroring the
+// StageCache key structure. MaxLen names a profile only above the default
+// length: every MaxLen up to the default shares the default's profile.
 func (c Config) Normalized() Config {
 	m, s := &c.Machine, &c.Selection
 	if m.Width == 0 {
@@ -141,13 +142,18 @@ func (c Config) timingConfig(mode Mode) TimingConfig {
 	return tc
 }
 
+// profileFloor is the shortest slice length a selection profile runs at:
+// the default p-thread length. Every shorter MaxLen shares the default's
+// profile, projected to its own length (see Engine.profile).
+var profileFloor = Config{}.Normalized().Selection.MaxLen
+
 // profileOptions builds the selection profile's options.
 func (c Config) profileOptions() ProfileOptions {
 	return ProfileOptions{
 		WarmInsts:   c.Machine.WarmInsts,
 		MaxInsts:    c.Selection.ProfileInsts,
 		Scope:       c.Selection.Scope,
-		MaxSlice:    c.Selection.MaxLen,
+		MaxSlice:    max(c.Selection.MaxLen, profileFloor),
 		RegionInsts: c.Selection.RegionInsts,
 	}
 }

@@ -10,7 +10,11 @@ import (
 )
 
 // Profiler is the functional profiling stage: it runs a program through the
-// cache model and builds slice trees for every dynamic L2 load miss.
+// cache model and builds slice trees for every dynamic L2 load miss. The
+// engine asks for at least the default p-thread length (MaxSlice >= 32)
+// and projects what a profiler returns to any shorter Selection.MaxLen
+// (slice.Forest.Project), so one profile serves every length up to the
+// default.
 type Profiler interface {
 	Profile(ctx context.Context, p *Program, opts ProfileOptions) ([]ProfileRegion, error)
 }
@@ -244,20 +248,36 @@ func (e *Engine) simulateRun(ctx context.Context, p *Program, pts []*PThread, cf
 	return run("sim")
 }
 
-// profile runs the profiling backend through the stage cache when one is
-// attached. The stage observer wraps the compute closure, not the cache
-// lookup, so only real profile executions are timed.
-func (e *Engine) profile(ctx context.Context, p *Program, opts ProfileOptions) ([]ProfileRegion, error) {
+// profile returns p's selection profile under the normalized configuration
+// cfg. The profiling backend runs at no less than the default p-thread
+// length (see profileOptions), through the stage cache when one is
+// attached; a shorter MaxLen gets the exact projection of that profile to
+// its own length (slice.Forest.Project). The stage observer wraps the
+// compute closure, not the cache lookup, so only real profile executions
+// are timed.
+func (e *Engine) profile(ctx context.Context, p *Program, cfg Config) ([]ProfileRegion, error) {
+	opts := cfg.profileOptions()
 	compute := func() ([]ProfileRegion, error) {
 		if e.observer != nil {
 			defer e.observer.StageStart("profile", p.Name)()
 		}
 		return e.profiler.Profile(ctx, p, opts)
 	}
+	var regions []ProfileRegion
+	var err error
 	if e.cache != nil {
-		return e.cache.regions(ctx, p, opts, compute)
+		regions, err = e.cache.regions(ctx, p, opts, compute)
+	} else {
+		regions, err = compute()
 	}
-	return compute()
+	if l := cfg.Selection.MaxLen; err != nil || l <= 0 || l >= opts.MaxSlice {
+		return regions, err
+	}
+	projected := make([]ProfileRegion, len(regions))
+	for i, r := range regions {
+		projected[i] = ProfileRegion{Start: r.Start, End: r.End, Forest: r.Forest.Project(cfg.Selection.MaxLen)}
+	}
+	return projected, nil
 }
 
 // selectRegions runs the selection backend under the stage observer.
@@ -277,7 +297,7 @@ func (e *Engine) selectOn(ctx context.Context, p *Program, baseIPC float64, cfg 
 	if target == nil {
 		target = p
 	}
-	regions, err := e.profile(ctx, target, cfg.profileOptions())
+	regions, err := e.profile(ctx, target, cfg)
 	if err != nil {
 		return SelectionResult{}, 0, err
 	}
@@ -338,7 +358,7 @@ func (e *Engine) Evaluate(ctx context.Context, p *Program) (Report, error) {
 // With a stage cache attached (WithStageCache) the regions may be shared
 // with other engines: treat them as immutable.
 func (e *Engine) Profile(ctx context.Context, p *Program) ([]ProfileRegion, error) {
-	return e.profile(ctx, p, e.cfg.Normalized().profileOptions())
+	return e.profile(ctx, p, e.cfg.Normalized())
 }
 
 // Select runs only the selection half of the pipeline: profile (on

@@ -7,6 +7,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -37,6 +38,20 @@ var goldenWindows = []struct {
 
 var goldenMaxSlice = []int{4, 8, 16, 32, 64}
 
+// projectFrom are the profile lengths whose forests the golden also
+// projects to every shorter golden length: the engine's profile floor (the
+// default p-thread length) and the longest golden length.
+var projectFrom = []int{32, 64}
+
+// projectRegions projects every region's forest to slice length l.
+func projectRegions(regions []slice.Region, l int) []slice.Region {
+	out := make([]slice.Region, len(regions))
+	for i, r := range regions {
+		out[i] = slice.Region{Start: r.Start, End: r.End, Forest: r.Forest.Project(l)}
+	}
+	return out
+}
+
 // goldenPrograms returns the ten paper workloads followed by the synth zoo.
 func goldenPrograms(t *testing.T) []*program.Program {
 	t.Helper()
@@ -59,24 +74,44 @@ func goldenPrograms(t *testing.T) []*program.Program {
 // (slice-tree forests, trigger counts and region bounds) and compares the
 // hash against the checked-in table. Any change to backward slicing or
 // slice-tree construction that alters a single node shows up here.
-// Regenerate with `go test ./internal/slice -run TestForestGolden -update`
-// only for an intentional model change.
+// Projections of the profiles in projectFrom to every shorter length must
+// hash to the same lines and deep-equal the direct profiles, record lows
+// included. Regenerate with `go test ./internal/slice -run TestForestGolden
+// -update` only for an intentional model change.
 func TestForestGolden(t *testing.T) {
-	var got strings.Builder
+	var got, projected strings.Builder
+	line := func(b *strings.Builder, name string, ms int, regions []slice.Region) {
+		raw, err := json.Marshal(regions)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(b, "%s/maxslice=%d %x\n", name, ms, sha256.Sum256(raw))
+	}
 	for _, p := range goldenPrograms(t) {
 		for _, win := range goldenWindows {
+			name := p.Name + "/" + win.name
+			direct := map[int][]slice.Region{}
 			for _, ms := range goldenMaxSlice {
 				opts := win.opts
 				opts.MaxSlice = ms
 				regions, err := slice.Profile(p, opts)
 				if err != nil {
-					t.Fatalf("%s/%s/%d: %v", p.Name, win.name, ms, err)
+					t.Fatalf("%s/%d: %v", name, ms, err)
 				}
-				raw, err := json.Marshal(regions)
-				if err != nil {
-					t.Fatal(err)
+				direct[ms] = regions
+				line(&got, name, ms, regions)
+			}
+			for _, from := range projectFrom {
+				for _, ms := range goldenMaxSlice {
+					if ms > from {
+						continue
+					}
+					regions := projectRegions(direct[from], ms)
+					if !reflect.DeepEqual(regions, direct[ms]) {
+						t.Errorf("%s: maxslice=%d profile projected to %d differs from the direct profile", name, from, ms)
+					}
+					line(&projected, name, ms, regions)
 				}
-				fmt.Fprintf(&got, "%s/%s/maxslice=%d %x\n", p.Name, win.name, ms, sha256.Sum256(raw))
 			}
 		}
 	}
@@ -90,10 +125,19 @@ func TestForestGolden(t *testing.T) {
 	if err != nil {
 		t.Fatalf("%v (generate with -update)", err)
 	}
+	wantLines := strings.Split(string(want), "\n")
+	inTable := map[string]bool{}
+	for _, l := range wantLines {
+		inTable[l] = true
+	}
+	for _, l := range strings.Split(strings.TrimSuffix(projected.String(), "\n"), "\n") {
+		if !inTable[l] {
+			t.Errorf("projected forest not in golden: %s", l)
+		}
+	}
 	if bytes.Equal(want, []byte(got.String())) {
 		return
 	}
-	wantLines := strings.Split(string(want), "\n")
 	gotLines := strings.Split(got.String(), "\n")
 	if len(wantLines) != len(gotLines) {
 		t.Fatalf("golden has %d lines, profiler produced %d", len(wantLines), len(gotLines))

@@ -2,6 +2,7 @@ package slice
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"strings"
 
@@ -32,6 +33,12 @@ type Node struct {
 	MemDepPos int    `json:"mem_dep_pos"`
 
 	Children []*Node `json:"children,omitempty"`
+
+	// lows holds the record lows of DepPos[0], DepPos[1] and MemDepPos: bit
+	// p is set when an instance reported producer position p, lower than
+	// every earlier instance's. Project reads them to recover the position a
+	// shorter profile would have kept (see projectDep).
+	lows [3]uint64
 }
 
 // AvgDist returns the mean main-thread distance from trigger to miss.
@@ -104,10 +111,40 @@ func (n *Node) adoptDeps(si Inst) {
 		if n.DepPos[k] == NoDep && si.DepPos[k] != NoDep {
 			n.DepPos[k] = si.DepPos[k]
 		}
+		n.lows[k] = recordLow(n.lows[k], si.DepPos[k])
 	}
 	if n.MemDepPos == NoDep && si.MemDepPos != NoDep {
 		n.MemDepPos = si.MemDepPos
 	}
+	n.lows[2] = recordLow(n.lows[2], si.MemDepPos)
+}
+
+// maxProjectLen is the longest slice length Forest.Project can project to:
+// record lows are kept for positions below it.
+const maxProjectLen = 64
+
+// recordLow adds pos to the record lows if it is lower than every position
+// recorded so far. NoDep and positions past maxProjectLen are not recorded.
+func recordLow(lows uint64, pos int) uint64 {
+	if uint(pos) < maxProjectLen && pos < bits.TrailingZeros64(lows) {
+		lows |= 1 << pos
+	}
+	return lows
+}
+
+// projectDep returns the producer position adoptDeps would have kept had
+// every instance's positions at or past l read NoDep: the first instance's
+// position below l. That instance is always a record low, the highest one
+// below l. A kept position below l is returned as is, so hand-built nodes
+// without record lows project too.
+func projectDep(pos int, lows uint64, l int) int {
+	if pos != NoDep && pos < l {
+		return pos
+	}
+	if lows &= 1<<l - 1; lows != 0 {
+		return 63 - bits.LeadingZeros64(lows)
+	}
+	return NoDep
 }
 
 // Walk visits every node (preorder, root first) with the path from the root
@@ -214,4 +251,52 @@ func (f *Forest) SortedRoots() []int {
 	}
 	sort.Ints(roots)
 	return roots
+}
+
+// Project returns the forest that profiling the same sample at maximum
+// slice length l would have built, for a forest profiled at length l or
+// longer (1 <= l <= maxProjectLen). A length-l slice is the first l
+// instructions of the longer slice, its producer positions at or past l
+// read as NoDep, so the projection keeps exactly the nodes shallower than
+// l, with their counts and child order, and recovers their producer
+// positions from the record lows. Sample-wide statistics carry over and
+// DCtrig is shared, so treat both forests as immutable. Record lows are not
+// serialized: a forest read by Load projects correctly only where each
+// node's kept producer positions are below l or no instance reported a
+// lower one.
+func (f *Forest) Project(l int) *Forest {
+	if l < 1 || l > maxProjectLen {
+		panic(fmt.Sprintf("slice: project to length %d outside [1, %d]", l, maxProjectLen))
+	}
+	p := &Forest{
+		Trees:    make(map[int]*Tree, len(f.Trees)),
+		DCtrig:   f.DCtrig,
+		Insts:    f.Insts,
+		Loads:    f.Loads,
+		L2Misses: f.L2Misses,
+	}
+	for pc, t := range f.Trees {
+		p.Trees[pc] = &Tree{RootPC: t.RootPC, Misses: t.Misses, Root: t.Root.project(l)}
+	}
+	return p
+}
+
+// project copies the subtree under n down to depth l-1. Record lows at or
+// past l are dropped, which leaves exactly the lows a length-l profile
+// would have recorded.
+func (n *Node) project(l int) *Node {
+	c := *n
+	c.DepPos = [2]int{projectDep(n.DepPos[0], n.lows[0], l), projectDep(n.DepPos[1], n.lows[1], l)}
+	c.MemDepPos = projectDep(n.MemDepPos, n.lows[2], l)
+	for k := range c.lows {
+		c.lows[k] &= 1<<l - 1
+	}
+	c.Children = nil
+	if n.Depth+1 < l && len(n.Children) > 0 {
+		c.Children = make([]*Node, len(n.Children))
+		for i, ch := range n.Children {
+			c.Children[i] = ch.project(l)
+		}
+	}
+	return &c
 }

@@ -10,7 +10,7 @@ import (
 	"preexec/internal/program"
 )
 
-// This file implements the recording half of trace replay (ROADMAP item 1).
+// This file implements the recording half of trace replay.
 //
 // The key observation is that the simulator's entire front-end input stream
 // is selection-independent: fetch is execution-driven on the correct path, so

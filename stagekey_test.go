@@ -9,9 +9,10 @@ import (
 
 // stagekeyGrid crosses every axis cmd/tsweep exposes (the warm/measure
 // window, scope, maxlen, opt, merge, region, memlat, selmemlat, width,
-// selwidth) with a default and one or two variant values: 1536
+// selwidth) with a default and one or two variant values: 2304
 // configurations covering every combination of stage-feeding and
-// stage-irrelevant knobs.
+// stage-irrelevant knobs. The maxlen axis has a value on each side of the
+// default, since lengths up to the default share its profile.
 func stagekeyGrid() []Config {
 	type mut struct {
 		name  string
@@ -25,7 +26,11 @@ func stagekeyGrid() []Config {
 			{"window=10k/30k", func(c *Config) { c.Machine.WarmInsts, c.Machine.MeasureInsts = 10_000, 30_000 }},
 		},
 		{{"scope=1024", nil}, {"scope=512", func(c *Config) { c.Selection.Scope = 512 }}},
-		{{"maxlen=32", nil}, {"maxlen=16", func(c *Config) { c.Selection.MaxLen = 16 }}},
+		{
+			{"maxlen=32", nil},
+			{"maxlen=16", func(c *Config) { c.Selection.MaxLen = 16 }},
+			{"maxlen=64", func(c *Config) { c.Selection.MaxLen = 64 }},
+		},
 		{{"opt=true", nil}, {"opt=false", func(c *Config) { c.Selection.Optimize = false }}},
 		{{"merge=true", nil}, {"merge=false", func(c *Config) { c.Selection.Merge = false }}},
 		{{"region=0", nil}, {"region=5000", func(c *Config) { c.Selection.RegionInsts = 5000 }}},
@@ -114,9 +119,10 @@ func TestStageKeysMatchLocalCacheIdentity(t *testing.T) {
 }
 
 // TestStageKeysDisambiguate pins the key namespace: benchmark, scale, and
-// stage prefix must each separate otherwise-identical cells, and the trace
-// key must embed the simulator fingerprint so a timing-core version bump
-// invalidates routed traces.
+// stage prefix must each separate otherwise-identical cells, the trace key
+// must embed the simulator fingerprint so a timing-core version bump
+// invalidates routed traces, and p-thread lengths up to the default share
+// one profile key.
 func TestStageKeysDisambiguate(t *testing.T) {
 	cfg := DefaultConfig()
 	a := StageKeys("crafty", 1, cfg)
@@ -132,6 +138,23 @@ func TestStageKeysDisambiguate(t *testing.T) {
 	}
 	if !strings.HasSuffix(a.Trace, "|"+timing.TraceVersion) {
 		t.Errorf("trace key %q does not end in the simulator fingerprint %q", a.Trace, timing.TraceVersion)
+	}
+
+	// Every MaxLen up to the default shares the default's profile, which the
+	// engine projects to the shorter lengths; a longer MaxLen profiles at
+	// its own length.
+	maxLen := func(l int) string {
+		c := cfg
+		c.Selection.MaxLen = l
+		return StageKeys("crafty", 1, c).Profile
+	}
+	for _, l := range []int{8, 16, 32} {
+		if got := maxLen(l); got != a.Profile {
+			t.Errorf("MaxLen %d: profile key %q, want the default's %q", l, got, a.Profile)
+		}
+	}
+	if got := maxLen(64); got == a.Profile {
+		t.Errorf("MaxLen 64 shares the default's profile key %q", got)
 	}
 
 	// The trace key names the record count, not the machine: every memory

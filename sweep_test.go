@@ -105,9 +105,10 @@ func TestSweepSelectionGridCacheCounts(t *testing.T) {
 }
 
 // TestSweepMixedGridKeySeparation pins the cache key structure: points
-// that change profile inputs (scope) or the machine (memory latency) get
-// their own stage runs, while selection (merge) and ablation (RS throttle)
-// knobs share — and all of it stays bit-identical to uncached evaluation.
+// that change profile inputs (scope, a p-thread length past the default) or
+// the machine (memory latency) get their own stage runs, while selection
+// (merge, a shorter p-thread length) and ablation (RS throttle) knobs share
+// — and all of it stays bit-identical to uncached evaluation.
 func TestSweepMixedGridKeySeparation(t *testing.T) {
 	benches, err := preexec.SweepBenches([]string{"vpr.p", "crafty"}, 1)
 	if err != nil {
@@ -125,22 +126,25 @@ func TestSweepMixedGridKeySeparation(t *testing.T) {
 		mk("scope512", func(cfg *preexec.Config) { cfg.Selection.Scope = 512 }),
 		mk("ml140", func(cfg *preexec.Config) { cfg.Machine.MemLat = 140 }),
 		mk("nothrottle", func(cfg *preexec.Config) { cfg.Ablation.NoRSThrottle = true }),
+		mk("len8", func(cfg *preexec.Config) { cfg.Selection.MaxLen = 8 }),
+		mk("len64", func(cfg *preexec.Config) { cfg.Selection.MaxLen = 64 }),
 	}
 
 	cached := runSweep(t, &preexec.Sweep{}, benches, points)
 	uncached := runSweep(t, &preexec.Sweep{NoCache: true}, benches, points)
 	assertCellsEqual(t, cached, uncached)
 
-	// Per benchmark: base/nomerge/scope512/nothrottle share one base run
-	// (scope and the p-thread-only throttle don't feed it), ml140 needs its
-	// own; base/nomerge/ml140/nothrottle share one profile (memory latency
-	// doesn't feed it), scope512 needs its own. All five points share one
-	// trace: the recorded stream depends only on the program and the run
-	// length, which no point changes (memory latency only times it).
+	// Per benchmark: every point but ml140 shares one base run (scope,
+	// length and the p-thread-only throttle don't feed it), ml140 needs its
+	// own; base/nomerge/ml140/nothrottle/len8 share one profile (memory
+	// latency doesn't feed it, and length 8 projects the default-length
+	// profile), scope512 and len64 need their own. All seven points share
+	// one trace: the recorded stream depends only on the program and the
+	// run length, which no point changes (memory latency only times it).
 	want := preexec.CacheStats{
-		BaseRuns: 4, BaseHits: 6,
-		ProfileRuns: 4, ProfileHits: 6,
-		TraceRuns: 2, TraceHits: 8,
+		BaseRuns: 4, BaseHits: 10,
+		ProfileRuns: 6, ProfileHits: 8,
+		TraceRuns: 2, TraceHits: 12,
 	}
 	if cached.Cache != want {
 		t.Errorf("cache stats = %+v, want %+v", cached.Cache, want)
