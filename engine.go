@@ -270,14 +270,10 @@ func (e *Engine) profile(ctx context.Context, p *Program, cfg Config) ([]Profile
 	} else {
 		regions, err = compute()
 	}
-	if l := cfg.Selection.MaxLen; err != nil || l <= 0 || l >= opts.MaxSlice {
-		return regions, err
+	if l := cfg.Selection.MaxLen; err == nil && l > 0 && l < opts.MaxSlice {
+		regions = slice.ProjectRegions(regions, l)
 	}
-	projected := make([]ProfileRegion, len(regions))
-	for i, r := range regions {
-		projected[i] = ProfileRegion{Start: r.Start, End: r.End, Forest: r.Forest.Project(cfg.Selection.MaxLen)}
-	}
-	return projected, nil
+	return regions, err
 }
 
 // selectRegions runs the selection backend under the stage observer.
@@ -353,7 +349,8 @@ func (e *Engine) Evaluate(ctx context.Context, p *Program) (Report, error) {
 // Profile runs only the functional profiling stage on p with the engine's
 // selection parameters, returning the slice-tree regions (a single region
 // unless Selection.RegionInsts is set). The forest of the first region is
-// what tsim -profile persists for tselect.
+// what tsim -profile persists for tselect. A MaxLen below the default gets
+// the exact projection of the default-length profile.
 //
 // With a stage cache attached (WithStageCache) the regions may be shared
 // with other engines: treat them as immutable.

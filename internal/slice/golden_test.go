@@ -43,15 +43,6 @@ var goldenMaxSlice = []int{4, 8, 16, 32, 64}
 // default p-thread length) and the longest golden length.
 var projectFrom = []int{32, 64}
 
-// projectRegions projects every region's forest to slice length l.
-func projectRegions(regions []slice.Region, l int) []slice.Region {
-	out := make([]slice.Region, len(regions))
-	for i, r := range regions {
-		out[i] = slice.Region{Start: r.Start, End: r.End, Forest: r.Forest.Project(l)}
-	}
-	return out
-}
-
 // goldenPrograms returns the ten paper workloads followed by the synth zoo.
 func goldenPrograms(t *testing.T) []*program.Program {
 	t.Helper()
@@ -106,7 +97,7 @@ func TestForestGolden(t *testing.T) {
 					if ms > from {
 						continue
 					}
-					regions := projectRegions(direct[from], ms)
+					regions := slice.ProjectRegions(direct[from], ms)
 					if !reflect.DeepEqual(regions, direct[ms]) {
 						t.Errorf("%s: maxslice=%d profile projected to %d differs from the direct profile", name, from, ms)
 					}

@@ -281,6 +281,16 @@ func (f *Forest) Project(l int) *Forest {
 	return p
 }
 
+// ProjectRegions projects every region's forest to slice length l (see
+// Forest.Project).
+func ProjectRegions(regions []Region, l int) []Region {
+	out := make([]Region, len(regions))
+	for i, r := range regions {
+		out[i] = Region{Start: r.Start, End: r.End, Forest: r.Forest.Project(l)}
+	}
+	return out
+}
+
 // project copies the subtree under n down to depth l-1. Record lows at or
 // past l are dropped, which leaves exactly the lows a length-l profile
 // would have recorded.
